@@ -227,6 +227,26 @@ inline void FinalizeExecStatus(ExecResult* result, const ExecOptions& opts) {
   if (!result->status.ok()) result->timed_out = true;
 }
 
+// A count past 2^64 - 1 cannot be reported: the run fails closed with
+// this status instead of wrapping.
+inline Status CountOverflowStatus() {
+  return Status(StatusCode::kResourceExhausted,
+                "result count exceeds 2^64 - 1");
+}
+
+// Adds a partial count (a morsel's, a suffix run's) to result->count;
+// on overflow fails the run with CountOverflowStatus() and returns false.
+inline bool AddCount(ExecResult* result, uint64_t n) {
+  uint64_t sum = 0;
+  if (__builtin_add_overflow(result->count, n, &sum)) {
+    result->timed_out = true;
+    result->status.Update(CountOverflowStatus());
+    return false;
+  }
+  result->count = sum;
+  return true;
+}
+
 // How an engine's catalog usage is made resident ahead of timed runs:
 //   kGaoIndexes   consumes the per-atom GAO-consistent indexes, so
 //                 WarmQueryIndexes makes later runs build-free

@@ -154,7 +154,7 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
     if (!opts.collect_tuples) {
       auto it = memo.find(j);
       if (it != memo.end()) {
-        result.count += it->second;
+        if (!AddCount(&result, it->second)) break;
         continue;
       }
     }
@@ -174,7 +174,7 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
       break;
     }
     result.stats.Add(sub.stats);
-    result.count += sub.count;
+    if (!AddCount(&result, sub.count)) break;
     if (opts.collect_tuples) {
       for (const Tuple& t : sub.tuples) {
         Tuple full(p.begin(), p.end());

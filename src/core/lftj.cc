@@ -9,10 +9,107 @@
 #include "core/atom_index.h"
 #include "core/leapfrog.h"
 #include "storage/trie.h"
+#include "util/mem_budget.h"
 
 namespace wcoj {
 
 namespace {
+
+// Count-mode suffix cache of one GAO depth: the depth's adhesion values
+// -> the number of completions below the depth. Flat open addressing
+// with linear probing; a slot is one run of words [epoch, count, key...]
+// and is live iff its epoch is the table's current one, so Clear() is
+// O(1) however large the table has grown.
+class SuffixCountCache {
+ public:
+  explicit SuffixCountCache(std::vector<int> adhesion)
+      : adhesion_(std::move(adhesion)),
+        stride_(adhesion_.size() + 2),
+        key_(adhesion_.size()) {}
+
+  // Loads t's adhesion values as the current key; true (and *count)
+  // when it is cached.
+  bool Find(const Tuple& t, uint64_t* count) {
+    for (size_t i = 0; i < adhesion_.size(); ++i) {
+      key_[i] = static_cast<uint64_t>(t[adhesion_[i]]);
+    }
+    if (slots_.empty()) return false;
+    const uint64_t* slot = &slots_[Probe(key_.data()) * stride_];
+    if (slot[0] != epoch_) return false;
+    *count = slot[1];
+    return true;
+  }
+
+  // Caches `count` under the key of the last Find, which missed.
+  // Requires !Full().
+  void Insert(uint64_t count) { Place(key_.data(), count); }
+
+  void Clear() {
+    ++epoch_;
+    size_ = 0;
+  }
+
+  // Load factor capped at one half.
+  bool Full() const { return 2 * (size_ + 1) > capacity(); }
+  size_t capacity() const { return slots_.size() / stride_; }
+  uint64_t bytes() const { return slots_.size() * sizeof(uint64_t); }
+  uint64_t grown_bytes() const {
+    return std::max<size_t>(2 * capacity(), kInitialSlots) * stride_ *
+           sizeof(uint64_t);
+  }
+
+  // Doubles the table, re-placing the live slots.
+  void Grow() {
+    std::vector<uint64_t> old(grown_bytes() / sizeof(uint64_t), 0);
+    old.swap(slots_);
+    const uint64_t old_epoch = epoch_;
+    epoch_ = 1;
+    size_ = 0;
+    for (size_t s = 0; s < old.size(); s += stride_) {
+      if (old[s] == old_epoch) Place(&old[s + 2], old[s + 1]);
+    }
+  }
+
+ private:
+  static constexpr size_t kInitialSlots = 16;
+
+  void Place(const uint64_t* key, uint64_t count) {
+    uint64_t* slot = &slots_[Probe(key) * stride_];
+    slot[0] = epoch_;
+    slot[1] = count;
+    std::copy(key, key + key_.size(), slot + 2);
+    ++size_;
+  }
+
+  // The slot holding `key`, or the empty slot where it belongs.
+  size_t Probe(const uint64_t* key) const {
+    uint64_t h = 0x9E3779B97F4A7C15ULL;
+    for (size_t j = 0; j < key_.size(); ++j) {
+      h = (h ^ key[j]) * 0xFF51AFD7ED558CCDULL;
+      h ^= h >> 32;
+    }
+    const size_t mask = capacity() - 1;
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      const uint64_t* slot = &slots_[i * stride_];
+      if (slot[0] != epoch_ ||
+          std::equal(key, key + key_.size(), slot + 2)) {
+        return i;
+      }
+    }
+  }
+
+  const std::vector<int> adhesion_;  // GAO positions forming the key
+  const size_t stride_;              // words per slot
+  std::vector<uint64_t> key_;        // the last Find's key
+  std::vector<uint64_t> slots_;
+  uint64_t epoch_ = 1;  // 0 marks never-written slots
+  size_t size_ = 0;
+};
+
+// Past this many slots a depth's table is emptied instead of doubled:
+// the cache only saves work, so dropping entries costs time, never
+// correctness, and an ungoverned run's cache memory stays bounded.
+constexpr size_t kMaxCacheSlots = size_t{1} << 20;
 
 // Per-execution state; the engine object itself stays stateless.
 class LftjRun {
@@ -26,7 +123,8 @@ class LftjRun {
         // (GAO-consistency assumption); prebuilt and catalog-resident
         // indexes are reused instead of rebuilt.
         indexes_(q, EffectiveCatalog(q, opts), &result->stats, prebuilt,
-                 opts.budget) {
+                 opts.budget),
+        cache_charge_(opts.budget) {
     // Structured preconditions, checked before any iterator or join is
     // constructed: a failed (budget-refused / fault-injected) index
     // build, or a query whose GAO leaves a variable uncovered, fails
@@ -63,28 +161,73 @@ class LftjRun {
     for (int v = 0; v < q.num_vars; ++v) {
       joins_.emplace_back(depth_iters_[v]);
     }
-    // Earlier filter endpoints per depth: binding depth d must exceed
-    // t[lo] for every filter (lo, d) with lo < d.
+    // Every filter is enforced when its later GAO variable is bound:
+    // binding depth d must exceed t[lo] for each filter lo<d bound
+    // earlier, and stay below t[hi] for each filter d<hi whose hi was
+    // bound earlier. `a<a` can never hold.
     lower_bounds_.resize(q.num_vars);
+    upper_bounds_.resize(q.num_vars);
     for (const auto& [lo, hi] : q.less_than) {
       if (lo < hi) {
         lower_bounds_[hi].push_back(lo);
+      } else if (lo > hi) {
+        upper_bounds_[lo].push_back(hi);
       } else {
-        upper_checks_.push_back({lo, hi});  // hi bound before lo: check late
+        unsatisfiable_ = true;
       }
     }
     t_.assign(q.num_vars, 0);
+    caches_.resize(q.num_vars);
+    clears_.resize(q.num_vars);
+    if (!opts.collect_tuples) PlanSuffixCaches();
   }
 
   void Run() {
     if (!result_->status.ok()) return;  // refused in the constructor
-    if (q_.num_vars == 0) return;
-    Search(0);
+    if (q_.num_vars == 0 || unsatisfiable_) return;
+    result_->count = Search(0);
     // Collect seek stats.
     for (const auto& it : iters_) result_->stats.seeks += it->seeks();
   }
 
  private:
+  // The adhesion of depth k is every earlier variable sharing an atom or
+  // a filter with some variable >= k: the completions below k depend on
+  // those values alone. A depth whose adhesion is a strict subset of its
+  // prefix gets a cache keyed on it. The cache is emptied whenever the
+  // search re-enters depth m, the first variable outside the adhesion:
+  // variables [0, m) are all in the key, so once one of them is rebound
+  // the old entries can never match again. With m == 0 the cache lives
+  // for the whole run.
+  void PlanSuffixCaches() {
+    const int n = q_.num_vars;
+    std::vector<std::vector<bool>> shares(n, std::vector<bool>(n, false));
+    for (const auto& atom : q_.atoms) {
+      for (int u : atom.vars) {
+        for (int v : atom.vars) shares[u][v] = true;
+      }
+    }
+    for (const auto& [lo, hi] : q_.less_than) {
+      shares[lo][hi] = shares[hi][lo] = true;
+    }
+    for (int k = 1; k < n; ++k) {
+      std::vector<int> adhesion;
+      int first_outside = -1;
+      for (int v = 0; v < k; ++v) {
+        const bool in = std::any_of(shares[v].begin() + k, shares[v].end(),
+                                    [](bool s) { return s; });
+        if (in) {
+          adhesion.push_back(v);
+        } else if (first_outside < 0) {
+          first_outside = v;
+        }
+      }
+      if (first_outside < 0) continue;  // adhesion is the whole prefix
+      caches_[k] = std::make_unique<SuffixCountCache>(std::move(adhesion));
+      clears_[first_outside].push_back(k);
+    }
+  }
+
   bool Expired() {
     if (opts_.stop != nullptr && opts_.stop->stop_requested()) {
       result_->timed_out = true;  // cancelled: result is incomplete
@@ -94,44 +237,82 @@ class LftjRun {
     return result_->timed_out;
   }
 
-  void Emit() {
-    ++result_->count;
-    if (opts_.collect_tuples) result_->tuples.push_back(t_);
+  // A count past 2^64 - 1 cannot be reported: fail closed rather than
+  // wrap.
+  void Overflowed() {
+    result_->status.Update(CountOverflowStatus());
+    result_->timed_out = true;
   }
 
-  void Search(int depth) {
-    if (result_->timed_out) return;
-    if (depth == q_.num_vars) {
-      // Filters whose variables were bound out of order (rare: only when a
-      // filter's later variable precedes the earlier one in the GAO).
-      for (const auto& [lo, hi] : upper_checks_) {
-        if (!(t_[lo] < t_[hi])) return;
+  // Records a finished subtree's count, growing the table under the
+  // query budget; a refused charge latches the budget and winds the run
+  // down (kBudgetExceeded).
+  void Remember(SuffixCountCache& cache, uint64_t count) {
+    if (cache.Full()) {
+      if (cache.capacity() >= kMaxCacheSlots) {
+        cache.Clear();
+      } else {
+        const uint64_t total =
+            cache_bytes_ - cache.bytes() + cache.grown_bytes();
+        if (!cache_charge_.TryRebase(total)) {
+          result_->timed_out = true;
+          return;
+        }
+        cache.Grow();
+        cache_bytes_ = total;
       }
-      Emit();
-      return;
     }
+    cache.Insert(count);
+  }
+
+  // Number of completions of t_[0, depth). A run that winds down
+  // returns a partial count, which is never cached; an overflow stops
+  // the sum before it wraps.
+  uint64_t Search(int depth) {
+    if (depth == q_.num_vars) {
+      if (opts_.collect_tuples) result_->tuples.push_back(t_);
+      return 1;
+    }
+    SuffixCountCache* cache = caches_[depth].get();
+    uint64_t total = 0;
+    if (cache != nullptr && cache->Find(t_, &total)) return total;
+    for (int k : clears_[depth]) caches_[k]->Clear();
     auto& iters = depth_iters_[depth];
     for (auto* it : iters) it->Open();
     LeapfrogJoin& join = joins_[depth];
     join.Init();
     // Seek past inequality lower bounds (and the partition range at the
-    // first variable).
+    // first variable); stop at the upper bounds.
     Value min_allowed = kNegInf;
-    if (depth == 0 && opts_.var0_min != kNegInf) min_allowed = opts_.var0_min;
+    Value max_allowed = kPosInf;
+    if (depth == 0) {
+      min_allowed = opts_.var0_min;
+      max_allowed = opts_.var0_max;
+    }
     for (int lo : lower_bounds_[depth]) {
       min_allowed = std::max(min_allowed, t_[lo] + 1);
+    }
+    for (int hi : upper_bounds_[depth]) {
+      max_allowed = std::min(max_allowed, t_[hi] - 1);
     }
     if (!join.AtEnd() && min_allowed != kNegInf) join.Seek(min_allowed);
     while (!join.AtEnd()) {
       if (Expired()) break;
       const Value v = join.Key();
-      if (depth == 0 && v > opts_.var0_max) break;
+      if (v > max_allowed) break;
       t_[depth] = v;
-      Search(depth + 1);
+      uint64_t sum = 0;
+      if (__builtin_add_overflow(total, Search(depth + 1), &sum)) {
+        Overflowed();
+        break;
+      }
+      total = sum;
       if (result_->timed_out) break;
       join.Next();
     }
     for (auto* it : iters) it->Up();
+    if (cache != nullptr && !result_->timed_out) Remember(*cache, total);
+    return total;
   }
 
   const BoundQuery& q_;
@@ -143,7 +324,15 @@ class LftjRun {
   std::vector<std::vector<TrieIterator*>> depth_iters_;
   std::vector<LeapfrogJoin> joins_;  // one reusable join per GAO depth
   std::vector<std::vector<int>> lower_bounds_;
-  std::vector<std::pair<int, int>> upper_checks_;
+  std::vector<std::vector<int>> upper_bounds_;
+  bool unsatisfiable_ = false;
+  // Per depth: its suffix cache (null where the adhesion is the whole
+  // prefix, and everywhere outside count mode) and the caches emptied on
+  // entering it.
+  std::vector<std::unique_ptr<SuffixCountCache>> caches_;
+  std::vector<std::vector<int>> clears_;
+  ScopedCharge cache_charge_;  // all tables' bytes, against opts.budget
+  uint64_t cache_bytes_ = 0;
   Tuple t_;
   uint64_t steps_ = 0;
 };

@@ -336,7 +336,7 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
       // running siblings wind down at their next poll.
       if (r.timed_out || !r.ok()) stop->RequestStop();
       MutexLock lock(mu);
-      total.count += r.count;
+      if (!AddCount(&total, r.count)) stop->RequestStop();
       total.timed_out |= r.timed_out;
       MergeMorselStatus(&total.status, r.status);
       total.stats.Add(r.stats);

@@ -9,6 +9,7 @@
 #include "core/leapfrog.h"
 #include "graph/generators.h"
 #include "graph/sampling.h"
+#include "parallel/partitioned_run.h"
 #include "query/parser.h"
 #include "tests/test_util.h"
 
@@ -118,6 +119,19 @@ TEST(EngineTest, CollectedTuplesMatchAcrossEngines) {
   EXPECT_EQ(lftj.tuples, oracle);
 }
 
+// Far past what enumeration could reach: count-mode LFTJ computes each
+// independent factor once, and must still be exact.
+TEST(EngineTest, CrossProductCountIsExact) {
+  Graph g = ErdosRenyi(400, 4000, 3);
+  GraphRelations rels = MakeGraphRelations(g);
+  Query q = MustParseQuery("edge(a,b), edge(c,d), edge(e,f)");
+  BoundQuery bq = Bind(q, rels.Map(), {"a", "b", "c", "d", "e", "f"});
+  const uint64_t e = rels.edge.size();
+  ExecResult r = CreateEngine("lftj")->Execute(bq, ExecOptions{});
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_EQ(r.count, e * e * e);
+}
+
 TEST(EngineTest, DeadlineProducesTimeout) {
   Graph g = ErdosRenyi(400, 4000, 3);
   GraphRelations rels = MakeGraphRelations(g);
@@ -180,6 +194,44 @@ const OracleCase kOracleCases[] = {
      9,
      20,
      false},
+    // 2-tree, with v1/v2 standing in for v3/v4.
+    {"v1(d), v2(e), v1(f), v2(g), edge(a,b), edge(a,c), edge(b,d), "
+     "edge(b,e), edge(c,f), edge(c,g)",
+     {"a", "b", "c", "d", "e", "f", "g"},
+     8,
+     14,
+     false},
+    // 3-lollipop.
+    {"v1(a), edge(a,b), edge(b,c), edge(c,d), edge(d,e), edge(d,f), "
+     "edge(d,g), edge(e,f), edge(e,g), edge(f,g)",
+     {"a", "b", "c", "d", "e", "f", "g"},
+     8,
+     18,
+     false},
+    // Filters whose later variable comes first in the GAO: d<b is
+    // enforced when d is bound, and puts b in depth 3's cache key.
+    {"v1(a), v2(d), edge(a,b), edge(b,c), edge(c,d), d<b",
+     {"a", "b", "c", "d"},
+     12,
+     26,
+     false},
+    {"edge(a,b), edge(b,c), edge(c,d), c<a",
+     {"a", "b", "c", "d"},
+     10,
+     22,
+     false},
+    // Disconnected atoms: depth 2's suffix shares nothing with the prefix.
+    {"v1(a), edge(a,b), edge(c,d), v2(d)",
+     {"a", "b", "c", "d"},
+     12,
+     26,
+     false},
+    // Cross product: |edge|^3 answers.
+    {"edge(a,b), edge(c,d), edge(e,f)",
+     {"a", "b", "c", "d", "e", "f"},
+     8,
+     10,
+     false},
 };
 
 class EngineOracleTest
@@ -210,11 +262,29 @@ TEST_P(EngineOracleTest, AllEnginesMatchBruteForce) {
     ASSERT_FALSE(r.timed_out);
     EXPECT_EQ(r.count, expected) << "clique on " << c.query;
   }
+  // Count-mode LFTJ answers from its per-depth suffix caches; the
+  // enumerating (collect_tuples) run and every var0 morsel split must
+  // land on the same number.
+  auto lftj = CreateEngine("lftj");
+  ExecOptions collect;
+  collect.collect_tuples = true;
+  const ExecResult tuples = lftj->Execute(bq, collect);
+  ASSERT_TRUE(tuples.ok()) << c.query;
+  EXPECT_EQ(tuples.count, expected) << c.query;
+  EXPECT_EQ(tuples.tuples.size(), expected) << c.query;
+  for (int threads = 1; threads <= 4; ++threads) {
+    const ExecResult r = PartitionedExecute(*lftj, bq, ExecOptions{},
+                                            threads, /*granularity=*/4);
+    ASSERT_TRUE(r.ok()) << c.query;
+    EXPECT_EQ(r.count, expected) << threads << " threads on " << c.query;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     QueriesBySeeds, EngineOracleTest,
-    ::testing::Combine(::testing::Range(0, 9), ::testing::Range(0, 3)),
+    ::testing::Combine(
+        ::testing::Range(0, static_cast<int>(std::size(kOracleCases))),
+        ::testing::Range(0, 3)),
     [](const auto& info) {
       return "q" + std::to_string(std::get<0>(info.param)) + "_s" +
              std::to_string(std::get<1>(info.param));

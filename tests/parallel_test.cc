@@ -446,6 +446,35 @@ TEST(PartitionedRunTest, ExtremeDomainsDoNotOverflowPartitionMath) {
   EXPECT_EQ(warm.count, direct.count);
 }
 
+// Each morsel's count fits in 64 bits but their sum does not: four var0
+// values times 74^10 (~2^62) completions each. The merge fails the run
+// closed instead of wrapping.
+TEST(PartitionedRunTest, MorselCountSumOverflowFailsClosed) {
+  Relation head(1), tail(1);
+  for (Value v = 0; v < 4; ++v) head.Add({v});
+  for (Value v = 0; v < 74; ++v) tail.Add({v});
+  head.Build();
+  tail.Build();
+  const Query q = MustParseQuery(
+      "h(a), t(b), t(c), t(d), t(e), t(f), t(g), t(h), t(i), t(j), t(k)");
+  const BoundQuery bq =
+      Bind(q, {{"h", &head}, {"t", &tail}}, q.Variables());
+  uint64_t per_value = 1;
+  for (int i = 0; i < 10; ++i) per_value *= 74;
+  auto engine = CreateEngine("lftj");
+  ExecOptions one_value;
+  one_value.var0_min = one_value.var0_max = 2;
+  const ExecResult morsel = engine->Execute(bq, one_value);
+  ASSERT_TRUE(morsel.ok()) << morsel.status.ToString();
+  ASSERT_EQ(morsel.count, per_value);
+  const ExecResult r = PartitionedExecute(*engine, bq, ExecOptions{},
+                                          /*num_threads=*/4,
+                                          /*granularity=*/4);
+  EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted)
+      << r.status.ToString();
+  EXPECT_NE(r.count, per_value * 4);  // the wrapped total
+}
+
 // Regression: PartitionedExecute used to keep grinding through every
 // remaining partition after one reported timed_out. Now the first
 // timed-out morsel flips the shared stop token: queued morsels skip,

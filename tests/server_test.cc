@@ -264,10 +264,18 @@ TEST(ProtocolTest, RepliesRoundTripIncludingShedShape) {
 
 constexpr char kCheapQuery[] = "edge(a,b)";
 constexpr char kTriangleQuery[] = "edge_lt(a,b), edge_lt(b,c), edge_lt(a,c)";
-// Triple cross product: its full answer is ~10^13 rows, so it never
-// finishes inside a test — the canonical slot blocker, relying on the
-// engines' prompt cancellation to wind down.
-constexpr char kBlockerQuery[] = "edge(a,b), edge(c,d), edge(e,f)";
+// Every ordered 5-clique over symmetric `edge` (each clique once per
+// vertex order): the canonical slot blocker, relying on the engines'
+// prompt cancellation to wind down. Every GAO depth's adhesion is its
+// whole prefix, so count-mode LFTJ has no suffix cache to lean on and
+// enumerates for ~25 s on this fixture (4-core Xeon VM, RelWithDebInfo).
+constexpr char kBlockerQuery[] =
+    "edge(a,b), edge(a,c), edge(a,d), edge(a,e), edge(b,c), edge(b,d), "
+    "edge(b,e), edge(c,d), edge(c,e), edge(d,e)";
+// Triple cross product (~6 * 10^13 rows). Count-mode LFTJ answers it in
+// milliseconds from its suffix caches, but Minesweeper's CDS grows
+// without bound on it, which the budget cases below rely on.
+constexpr char kCrossProductQuery[] = "edge(a,b), edge(c,d), edge(e,f)";
 
 struct TestConn {
   int fd = -1;
@@ -583,7 +591,7 @@ TEST_F(ServerTest, BudgetRefusalIsAStructuredReplyAndConnectionSurvives) {
   // Minesweeper's CDS on an endless cross product grows without bound;
   // a 1 MiB budget latches long before the 60s default deadline.
   ASSERT_TRUE(conn.RoundTrip(
-      QueryLine(kBlockerQuery, "ms", /*deadline_ms=*/30000,
+      QueryLine(kCrossProductQuery, "ms", /*deadline_ms=*/30000,
                 /*budget_mb=*/1),
       &r));
   EXPECT_FALSE(r.ok);
@@ -594,6 +602,34 @@ TEST_F(ServerTest, BudgetRefusalIsAStructuredReplyAndConnectionSurvives) {
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.count, cheap_count_);
   EXPECT_EQ(server->stats().budget_exceeded, 1u);
+}
+
+// Count-mode LFTJ reaches counts enumeration never could: five
+// independent edges have |edge|^5 ~ 9.7 * 10^22 answers, past 2^64. The
+// run fails closed with kResourceExhausted instead of reporting a
+// wrapped count, in-process and over the wire.
+TEST_F(ServerTest, CountOverflowFailsClosedNeverWraps) {
+  constexpr char kFiveEdges[] =
+      "edge(a,b), edge(c,d), edge(e,f), edge(g,h), edge(i,j)";
+  const Query q = MustParseQuery(kFiveEdges);
+  BoundQuery bq = Bind(q, rels_->Map(), q.Variables());
+  bq.catalog = rels_->catalog();
+  uint64_t wrapped = 1;  // |edge|^5 mod 2^64
+  for (int i = 0; i < 5; ++i) wrapped *= cheap_count_;
+  const ExecResult direct = CreateEngine("lftj")->Execute(bq, ExecOptions{});
+  EXPECT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status.code(), StatusCode::kResourceExhausted)
+      << direct.status.ToString();
+  EXPECT_NE(direct.count, wrapped);
+
+  auto server = StartServer(SmallConfig());
+  TestConn conn;
+  ASSERT_TRUE(conn.Connect(server->port()));
+  ServerReply r;
+  ASSERT_TRUE(conn.RoundTrip(QueryLine(kFiveEdges, "lftj"), &r));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.code, "RESOURCE_EXHAUSTED") << r.message;
+  EXPECT_EQ(server->stats().errors, 1u);
 }
 
 // The deterministic overload drill: C=1, Q=1. A blocker occupies the

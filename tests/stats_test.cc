@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "core/atom_index.h"
 #include "core/engine.h"
 #include "graph/generators.h"
@@ -8,6 +11,8 @@
 #include "query/parser.h"
 #include "storage/catalog.h"
 #include "tests/test_util.h"
+#include "util/mem_budget.h"
+#include "util/stopwatch.h"
 
 namespace wcoj {
 namespace {
@@ -101,6 +106,103 @@ TEST(StatsTest, LftjSeeksScaleWithWork) {
   ExecResult l = CreateEngine("lftj")->Execute(
       Bind(q, rl.Map(), {"a", "b", "c"}), ExecOptions{});
   EXPECT_GT(l.stats.seeks, s.stats.seeks);
+}
+
+// Count-mode LFTJ caches suffix counts only at depths whose adhesion is
+// a strict subset of the prefix. On 3-path (c keyed on b, d on c) that
+// skips re-solving repeated suffixes; on a clique every depth's
+// adhesion is its whole prefix, so count mode runs the enumerating
+// search seek for seek.
+TEST(StatsTest, LftjSuffixCacheEngagesOnlyBelowAStrictAdhesion) {
+  Graph g = Rmat(8, 900, 0.57, 0.19, 0.19, 13);
+  GraphRelations rels = MakeGraphRelations(g);
+  rels.v1 = SampleNodes(g, 2, 1);
+  rels.v2 = SampleNodes(g, 2, 2);
+  auto lftj = CreateEngine("lftj");
+  ExecOptions collect;
+  collect.collect_tuples = true;
+
+  const BoundQuery path = ThreePath(rels);
+  const ExecResult path_count = lftj->Execute(path, ExecOptions{});
+  const ExecResult path_tuples = lftj->Execute(path, collect);
+  ASSERT_TRUE(path_count.ok());
+  EXPECT_EQ(path_count.count, path_tuples.tuples.size());
+  EXPECT_LT(path_count.stats.seeks, path_tuples.stats.seeks);
+
+  const BoundQuery clique =
+      Bind(MustParseQuery("edge_lt(a,b), edge_lt(b,c), edge_lt(a,c)"),
+           rels.Map(), {"a", "b", "c"});
+  const ExecResult clique_count = lftj->Execute(clique, ExecOptions{});
+  const ExecResult clique_tuples = lftj->Execute(clique, collect);
+  ASSERT_TRUE(clique_count.ok());
+  EXPECT_EQ(clique_count.count, clique_tuples.tuples.size());
+  EXPECT_EQ(clique_count.stats.seeks, clique_tuples.stats.seeks);
+}
+
+// The caches' tables are charged to the query's MemoryBudget. With
+// every index catalog-resident they are the run's only charge, so a
+// tiny budget must fail the run closed, never answer with a count.
+TEST(StatsTest, LftjSuffixCacheIsChargedToTheQueryBudget) {
+  Graph g = Rmat(8, 900, 0.57, 0.19, 0.19, 13);
+  GraphRelations rels = MakeGraphRelations(g);
+  rels.v1 = SampleNodes(g, 2, 1);
+  rels.v2 = SampleNodes(g, 2, 2);
+  IndexCatalog catalog;
+  BoundQuery path = ThreePath(rels);
+  path.catalog = &catalog;
+  WarmQueryIndexes(path);
+  auto lftj = CreateEngine("lftj");
+  ExecOptions collect;
+  collect.collect_tuples = true;
+  const uint64_t expected = lftj->Execute(path, collect).tuples.size();
+
+  MemoryBudget unlimited;
+  ExecOptions opts;
+  opts.budget = &unlimited;
+  const ExecResult governed = lftj->Execute(path, opts);
+  ASSERT_TRUE(governed.ok()) << governed.status.ToString();
+  EXPECT_EQ(governed.count, expected);
+  EXPECT_GT(governed.stats.peak_budget_bytes, 0u);
+  EXPECT_EQ(unlimited.used(), 0u);  // released when the run ends
+
+  MemoryBudget tiny(/*limit_bytes=*/64);
+  opts.budget = &tiny;
+  const ExecResult refused = lftj->Execute(path, opts);
+  EXPECT_EQ(refused.status.code(), StatusCode::kBudgetExceeded)
+      << refused.status.ToString();
+  EXPECT_TRUE(refused.timed_out);
+}
+
+// A stop fired mid-run cancels the run; nothing it cut short is kept,
+// so the next run on the same scratch is exact.
+TEST(StatsTest, LftjCancelledMidRunLeavesTheNextRunExact) {
+  Graph g = ErdosRenyi(600, 6000, 41);
+  GraphRelations rels = MakeGraphRelations(g);
+  const BoundQuery cycle =
+      Bind(MustParseQuery("edge(a,b), edge(b,c), edge(c,d), edge(a,d)"),
+           rels.Map(), {"a", "b", "c", "d"});
+  auto lftj = CreateEngine("lftj");
+  ExecScratch scratch;
+  ExecOptions opts;
+  opts.scratch = &scratch;
+  const ExecResult reference = lftj->Execute(cycle, opts);
+  ASSERT_TRUE(reference.ok());
+
+  StopToken stop;
+  opts.stop = &stop;
+  std::thread stopper([&stop] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    stop.RequestStop();
+  });
+  const ExecResult cancelled = lftj->Execute(cycle, opts);
+  stopper.join();
+  EXPECT_EQ(cancelled.status.code(), StatusCode::kCancelled);
+  EXPECT_LT(cancelled.count, reference.count);
+
+  opts.stop = nullptr;
+  const ExecResult again = lftj->Execute(cycle, opts);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.count, reference.count);
 }
 
 TEST(StatsTest, PairwiseIntermediatesExplodeOnCliques) {
