@@ -32,8 +32,10 @@ inline double CellTimeoutSeconds() {
 
 struct Cell {
   double seconds = 0.0;
-  bool timed_out = false;
+  Status status;  // non-OK: timed out or unsupported, printed as "-"
   uint64_t count = 0;
+
+  bool ok() const { return status.ok(); }
 };
 
 // Runs one engine on one bound query under the global cell timeout.
@@ -42,8 +44,7 @@ struct Cell {
 // indexes made resident cheaply via WarmQueryIndexes; the pairwise
 // baselines probe plan-dependent permutations instead, which only a
 // real execution touches, so they warm up with one untimed run (their
-// timeout cells therefore cost up to 2x the timeout). Use RunCellCold
-// for a timing that includes the builds.
+// timeout cells therefore cost up to 2x the timeout).
 inline Cell RunCell(const std::string& engine_name, const BoundQuery& bq) {
   std::unique_ptr<Engine> engine = CreateEngine(engine_name);
   ExecOptions opts;
@@ -62,20 +63,7 @@ inline Cell RunCell(const std::string& engine_name, const BoundQuery& bq) {
     }
   }
   const ExecResult r = RunTimed(*engine, bq, opts);
-  return {r.seconds, r.timed_out, r.count};
-}
-
-// Cold variant: every index is rebuilt inside the timed region (the
-// repo's pre-catalog behaviour), via a run that bypasses the catalog.
-inline Cell RunCellCold(const std::string& engine_name,
-                        const BoundQuery& bq) {
-  BoundQuery cold = bq;
-  cold.catalog = nullptr;
-  std::unique_ptr<Engine> engine = CreateEngine(engine_name);
-  ExecOptions opts;
-  opts.deadline = Deadline::AfterSeconds(CellTimeoutSeconds());
-  const ExecResult r = RunTimed(*engine, cold, opts);
-  return {r.seconds, r.timed_out, r.count};
+  return {r.seconds, r.status, r.count};
 }
 
 // The 12 datasets of Tables 1-4 (everything but the three giants).

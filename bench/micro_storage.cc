@@ -1114,7 +1114,7 @@ ExecResult StaticPartitionedExecute(const Engine& engine, const BoundQuery& q,
       ExecResult r = engine.Execute(q, job_opts);
       wcoj::MutexLock lock(mu);
       total.count += r.count;
-      total.timed_out |= r.timed_out;
+      total.status.Update(r.status);
       total.stats.Add(r.stats);
     });
   }

@@ -65,7 +65,7 @@ ExecResult YannakakisEngine::Execute(const BoundQuery& q,
     const uint64_t bytes =
         8u * atom.relation->size() * atom.relation->arity() + 4096u;
     if (!copy_charge.TryCharge(bytes)) {
-      result.timed_out = true;
+      result.status = opts.AbortStatus();
       FinalizeExecStatus(&result, opts);
       return result;
     }
@@ -83,7 +83,7 @@ ExecResult YannakakisEngine::Execute(const BoundQuery& q,
         changed |= Semijoin(q, &reduced[i], q.atoms[i].vars, reduced[j],
                             q.atoms[j].vars);
         if (opts.Aborted()) {
-          result.timed_out = true;
+          result.status = opts.AbortStatus();
           FinalizeExecStatus(&result, opts);
           return result;
         }
@@ -95,7 +95,8 @@ ExecResult YannakakisEngine::Execute(const BoundQuery& q,
 
   // Join the reduced relations with the DP pairwise engine. The reduced
   // relations are transient locals, so the shared catalog must not index
-  // them: strip it from both the query copy and the options.
+  // them: strip it from both the query copy and the options. The join
+  // finalizes its result against the same budget and stop.
   BoundQuery rq = q;
   rq.catalog = nullptr;
   for (size_t i = 0; i < m; ++i) rq.atoms[i].relation = &reduced[i];
@@ -104,7 +105,6 @@ ExecResult YannakakisEngine::Execute(const BoundQuery& q,
   BinaryJoinEngine join(BinaryJoinFlavor::kRowStore);
   ExecResult joined = join.Execute(rq, join_opts);
   joined.stats.intermediate_tuples += result.stats.intermediate_tuples;
-  FinalizeExecStatus(&joined, opts);
   return joined;
 }
 

@@ -2,11 +2,13 @@
 #define WCOJ_BENCH_UTIL_TABLE_H_
 
 // Paper-style ASCII tables for the benchmark harnesses: right-aligned
-// cells, a "-" for timeouts, and second/ratio formatting that matches the
-// granularity the paper reports.
+// cells, a "-" for runs without an answer, and second/ratio formatting
+// that matches the granularity the paper reports.
 
 #include <string>
 #include <vector>
+
+#include "util/status.h"
 
 namespace wcoj {
 
@@ -22,8 +24,9 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-// Seconds with adaptive precision; "-" when timed out (like the paper).
-std::string FormatSeconds(double seconds, bool timed_out);
+// Seconds with adaptive precision; "-" for a run that did not answer
+// (timed out like the paper's cells, or an unsupported combination).
+std::string FormatSeconds(double seconds, const Status& status);
 // Speedup ratios with 2 decimals; "inf" for thrashing (paper's ∞).
 std::string FormatRatio(double ratio);
 

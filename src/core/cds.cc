@@ -30,7 +30,7 @@ void Cds::Reset() {
   root_ = arena_->AllocNode(kCdsNull, kWildcard, ++id_counter_);
   frontier_.assign(num_vars_, kFrontierFloor);
   depth_ = 0;
-  timed_out_ = false;
+  stopped_ = false;
   poll_counter_ = 0;
   constraints_inserted_ = 0;
   counted_outputs_ = 0;
@@ -58,7 +58,7 @@ void Cds::Reconfigure(int num_vars, const Options& options) {
 void Cds::ResumeRetainingTree() {
   deadline_ = nullptr;
   stop_ = nullptr;
-  timed_out_ = false;
+  stopped_ = false;
   poll_counter_ = 0;
   depth_ = 0;
   // See the header: in-progress rotations must not survive into a
@@ -216,7 +216,7 @@ bool Cds::ComputeFreeTuple() {
         ++poll_counter_ % 4096 == 0 &&
         ((deadline_ != nullptr && deadline_->Expired()) ||
          (stop_ != nullptr && stop_->stop_requested()))) {
-      timed_out_ = true;
+      stopped_ = true;
       return false;
     }
     if (depth_ < 0) return false;

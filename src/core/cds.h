@@ -112,7 +112,9 @@ class Cds {
   // deadline; null (the default) disables the check. `stop` must outlive
   // the Cds or be cleared first.
   void set_stop(const StopToken* stop) { stop_ = stop; }
-  bool timed_out() const { return timed_out_; }
+  // True once ComputeFreeTuple has returned false because the deadline
+  // expired or the stop fired, not because the search ended.
+  bool stopped() const { return stopped_; }
 
   // #Minesweeper (Idea 8): callable right after the engine verified and
   // reported the frontier tuple at the last depth. If the last depth's
@@ -179,7 +181,7 @@ class Cds {
   Options options_;
   const Deadline* deadline_ = nullptr;
   const StopToken* stop_ = nullptr;
-  bool timed_out_ = false;
+  bool stopped_ = false;
   uint64_t poll_counter_ = 0;
   uint64_t id_counter_ = 0;
   std::unique_ptr<CdsArena> owned_arena_;  // set when no arena was given

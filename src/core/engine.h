@@ -141,7 +141,7 @@ struct ExecOptions {
   ExecScratch* scratch = nullptr;
   // Shared cooperative stop: engines treat a requested stop exactly like
   // an expired deadline (wind down at the next frontier boundary, report
-  // timed_out). The morsel scheduler hands every morsel the same token
+  // kCancelled). The morsel scheduler hands every morsel the same token
   // so one partition's timeout cancels the whole run; callers may
   // install their own to cancel a run externally. Must outlive the
   // execution. Engines only ever *read* it.
@@ -174,6 +174,20 @@ struct ExecOptions {
   bool Aborted() const {
     return (budget != nullptr && budget->exceeded()) || Cancelled();
   }
+
+  // Why a run that winds down early failed, recorded by the engine at
+  // that point: a latched budget gives kBudgetExceeded, a requested stop
+  // kCancelled, anything else (the deadline) kDeadlineExceeded.
+  Status AbortStatus() const {
+    if (budget != nullptr && budget->exceeded()) {
+      return Status(StatusCode::kBudgetExceeded,
+                    "query memory budget exceeded");
+    }
+    if (stop != nullptr && stop->stop_requested()) {
+      return Status(StatusCode::kCancelled, "execution cancelled");
+    }
+    return Status(StatusCode::kDeadlineExceeded, "deadline expired");
+  }
 };
 
 // The catalog an execution should fetch indexes from, if any.
@@ -183,48 +197,29 @@ inline IndexCatalog* EffectiveCatalog(const BoundQuery& q,
 }
 
 struct ExecResult {
-  bool timed_out = false;
   uint64_t count = 0;
   std::vector<Tuple> tuples;  // populated iff collect_tuples
   EngineStats stats;
   double seconds = 0.0;  // filled by RunTimed
-  // Structured outcome. OK means count/tuples are the exact answer;
+  // The run's only outcome. OK means count/tuples are the exact answer;
   // any other code means the run failed closed (cancel, deadline,
   // budget, bad input, internal fault) and partial output must not be
-  // trusted. timed_out stays true for the cancel/deadline/budget codes
-  // so pre-Status callers keep working.
+  // trusted.
   Status status;
 
   bool ok() const { return status.ok(); }
 };
 
-// Maps an engine's wind-down state to its structured outcome, applied
-// once at every Execute exit: a latched budget fails the run with
-// kBudgetExceeded even if the engine raced past the poll and finished
-// (deterministic fail-closed), then timed_out resolves to kCancelled
-// (stop token fired) or kDeadlineExceeded. Also snapshots the budget
-// high-water mark into stats. Engines that fail for their own reasons
-// (bad input, stalls, alloc failure) set result->status before calling
-// this; a pre-set error always wins.
+// Applied once at every Execute exit: snapshots the budget high-water
+// mark into stats, and fails a run that finished while the budget was
+// latched with kBudgetExceeded even if the engine raced past its last
+// poll (deterministic fail-closed). A run that already failed keeps its
+// cause.
 inline void FinalizeExecStatus(ExecResult* result, const ExecOptions& opts) {
-  if (opts.budget != nullptr) {
-    result->stats.peak_budget_bytes =
-        std::max(result->stats.peak_budget_bytes, opts.budget->peak());
-    if (result->status.ok() && opts.budget->exceeded()) {
-      result->timed_out = true;
-      result->status =
-          Status(StatusCode::kBudgetExceeded, "query memory budget exceeded");
-    }
-  }
-  if (result->status.ok() && result->timed_out) {
-    if (opts.stop != nullptr && opts.stop->stop_requested()) {
-      result->status = Status(StatusCode::kCancelled, "execution cancelled");
-    } else {
-      result->status =
-          Status(StatusCode::kDeadlineExceeded, "deadline expired");
-    }
-  }
-  if (!result->status.ok()) result->timed_out = true;
+  if (opts.budget == nullptr) return;
+  result->stats.peak_budget_bytes =
+      std::max(result->stats.peak_budget_bytes, opts.budget->peak());
+  if (opts.budget->exceeded()) result->status.Update(opts.AbortStatus());
 }
 
 // A count past 2^64 - 1 cannot be reported: the run fails closed with
@@ -239,7 +234,6 @@ inline Status CountOverflowStatus() {
 inline bool AddCount(ExecResult* result, uint64_t n) {
   uint64_t sum = 0;
   if (__builtin_add_overflow(result->count, n, &sum)) {
-    result->timed_out = true;
     result->status.Update(CountOverflowStatus());
     return false;
   }

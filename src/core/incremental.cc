@@ -56,7 +56,7 @@ IncrementalCountView::IncrementalCountView(const BoundQuery& q,
   current_ = *rel;  // snapshot
   // Rebind the mutable atoms to the snapshot and materialize the count.
   for (int a : mutable_atoms_) q_.atoms[a].relation = &current_;
-  count_ = engine_->Execute(q_, MakeExecOptions()).count;
+  count_ = Count(q_);
 }
 
 IncrementalCountView::IncrementalCountView(const BoundQuery& q,
@@ -84,9 +84,15 @@ ExecOptions IncrementalCountView::MakeExecOptions() const {
   return opts;
 }
 
+uint64_t IncrementalCountView::Count(const BoundQuery& q) {
+  const ExecResult r = engine_->Execute(q, MakeExecOptions());
+  status_.Update(r.status);
+  return r.count;
+}
+
 uint64_t IncrementalCountView::CountWith(const Relation& before,
                                          const Relation& delta,
-                                         const Relation& after) const {
+                                         const Relation& after) {
   // Telescoping sum: the i-th term binds mutable atoms < i to `before`,
   // atom i to `delta`, and atoms > i to `after`. Every term runs on the
   // view's engine and (if configured) warm scratch, back to back.
@@ -97,17 +103,20 @@ uint64_t IncrementalCountView::CountWith(const Relation& before,
       term.atoms[mutable_atoms_[j]].relation =
           j < i ? &before : (j == i ? &delta : &after);
     }
-    sum += engine_->Execute(term, MakeExecOptions()).count;
+    sum += Count(term);
+    if (!status_.ok()) return 0;
   }
   return sum;
 }
 
 int64_t IncrementalCountView::ApplyInserts(const std::vector<Tuple>& tuples) {
+  if (!status_.ok()) return 0;
   const Relation delta = Genuine(current_, tuples, /*present=*/false);
   if (delta.size() == 0) return 0;
   Relation next = Union(current_, tuples);
   // Q(new) - Q(old): atoms before the delta position see `new`.
   const uint64_t gained = CountWith(next, delta, current_);
+  if (!status_.ok()) return 0;
   current_ = std::move(next);
   for (int a : mutable_atoms_) q_.atoms[a].relation = &current_;
   count_ += gained;
@@ -115,11 +124,13 @@ int64_t IncrementalCountView::ApplyInserts(const std::vector<Tuple>& tuples) {
 }
 
 int64_t IncrementalCountView::ApplyDeletes(const std::vector<Tuple>& tuples) {
+  if (!status_.ok()) return 0;
   const Relation delta = Genuine(current_, tuples, /*present=*/true);
   if (delta.size() == 0) return 0;
   Relation next = Difference(current_, delta);
   // Q(old) - Q(new): atoms before the delta position see `new`.
   const uint64_t lost = CountWith(next, delta, current_);
+  if (!status_.ok()) return 0;
   current_ = std::move(next);
   for (int a : mutable_atoms_) q_.atoms[a].relation = &current_;
   assert(count_ >= lost);

@@ -58,6 +58,10 @@ class IncrementalCountView {
   static IncrementalCountView ForRelation(const BoundQuery& q,
                                           const Relation* rel);
 
+  // The first failed execution's status (an engine without a program
+  // for the shape, an expired deadline, ...). Once it is not OK, count()
+  // is not the view's answer and Apply* change nothing and return 0.
+  const Status& status() const { return status_; }
   uint64_t count() const { return count_; }
   const Relation& current() const { return current_; }
 
@@ -68,8 +72,10 @@ class IncrementalCountView {
   int64_t ApplyDeletes(const std::vector<Tuple>& tuples);
 
  private:
+  // One execution's count; a failure latches into status_.
+  uint64_t Count(const BoundQuery& q);
   uint64_t CountWith(const Relation& before, const Relation& delta,
-                     const Relation& after) const;
+                     const Relation& after);
   ExecOptions MakeExecOptions() const;
 
   BoundQuery q_;
@@ -78,6 +84,7 @@ class IncrementalCountView {
   std::unique_ptr<Engine> engine_;
   Relation current_;
   uint64_t count_ = 0;
+  Status status_;
 };
 
 }  // namespace wcoj

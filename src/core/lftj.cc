@@ -229,20 +229,16 @@ class LftjRun {
   }
 
   bool Expired() {
-    if (opts_.stop != nullptr && opts_.stop->stop_requested()) {
-      result_->timed_out = true;  // cancelled: result is incomplete
-    } else if (++steps_ % 4096 == 0 && opts_.Aborted()) {
-      result_->timed_out = true;
+    if ((opts_.stop != nullptr && opts_.stop->stop_requested()) ||
+        (++steps_ % 4096 == 0 && opts_.Aborted())) {
+      result_->status.Update(opts_.AbortStatus());
     }
-    return result_->timed_out;
+    return !result_->status.ok();
   }
 
   // A count past 2^64 - 1 cannot be reported: fail closed rather than
   // wrap.
-  void Overflowed() {
-    result_->status.Update(CountOverflowStatus());
-    result_->timed_out = true;
-  }
+  void Overflowed() { result_->status.Update(CountOverflowStatus()); }
 
   // Records a finished subtree's count, growing the table under the
   // query budget; a refused charge latches the budget and winds the run
@@ -255,7 +251,7 @@ class LftjRun {
         const uint64_t total =
             cache_bytes_ - cache.bytes() + cache.grown_bytes();
         if (!cache_charge_.TryRebase(total)) {
-          result_->timed_out = true;
+          result_->status.Update(opts_.AbortStatus());
           return;
         }
         cache.Grow();
@@ -307,11 +303,11 @@ class LftjRun {
         break;
       }
       total = sum;
-      if (result_->timed_out) break;
+      if (!result_->status.ok()) break;
       join.Next();
     }
     for (auto* it : iters) it->Up();
-    if (cache != nullptr && !result_->timed_out) Remember(*cache, total);
+    if (cache != nullptr && result_->status.ok()) Remember(*cache, total);
     return total;
   }
 

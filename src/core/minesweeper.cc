@@ -131,7 +131,8 @@ class MsRun {
       if ((opts_.stop != nullptr && opts_.stop->stop_requested()) ||
           arena->alloc_failed() ||
           (++iters % 256 == 0 && opts_.Aborted())) {
-        result_->timed_out = true;
+        // An arena refusal is reported below, after the loop.
+        if (!arena->alloc_failed()) result_->status = opts_.AbortStatus();
         break;
       }
       // Copy: the Idea 8 drain below mutates the CDS frontier in place.
@@ -147,7 +148,6 @@ class MsRun {
         result_->status =
             Status(StatusCode::kInternal,
                    "minesweeper stalled: frontier made no progress");
-        result_->timed_out = true;
         break;
       }
       prev_free = t;
@@ -250,9 +250,8 @@ class MsRun {
         if (have_advance) cds.SetFrontier(advance);
       }
     }
-    if (cds.timed_out()) result_->timed_out = true;
+    if (cds.stopped()) result_->status.Update(opts_.AbortStatus());
     if (arena->alloc_failed()) {
-      result_->timed_out = true;
       result_->status.Update(
           Status(StatusCode::kResourceExhausted,
                  "CDS arena allocation refused (budget or injected fault)"));

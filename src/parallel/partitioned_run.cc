@@ -152,7 +152,7 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
   // not warm indexes or spawn morsels on its way out: fail closed
   // before touching the catalog.
   if (opts.Aborted()) {
-    total.timed_out = true;
+    total.status = opts.AbortStatus();
     FinalizeExecStatus(&total, opts);
     return total;
   }
@@ -199,7 +199,6 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
       // A refused/faulted shared build would fail every morsel the same
       // way; fail the run closed before spawning any.
       total.status = warm_status;
-      total.timed_out = true;
       FinalizeExecStatus(&total, opts);
       return total;
     }
@@ -285,7 +284,8 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
   // wind down, but the caller's reset-less token stays clean for its
   // next run.
   StopToken run_stop(opts.stop);
-  StopToken* stop = &run_stop;
+  ExecOptions run_opts = opts;
+  run_opts.stop = &run_stop;
 
   // One nonzero token per partitioned run: every morsel carries it, so a
   // worker's ExecScratch recognizes consecutive morsels of this run and
@@ -303,21 +303,22 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
   static FailPoint& worker_job_fp = FailPoints::Register("worker.job");
   for (const auto& [a, b] : ranges) {
     jobs.push_back([&, a = a, b = b](int worker) {
-      if (stop->stop_requested() || opts.Aborted()) {
+      if (run_opts.Aborted()) {
         // Cancelled before this morsel ran: its share of the output is
-        // missing, so the merged result must read timed_out.
-        stop->RequestStop();
+        // missing, so the merged result must fail. A sibling's stop
+        // reads kCancelled, which its root cause displaces.
+        const Status why = run_opts.AbortStatus();
+        run_stop.RequestStop();
         MutexLock lock(mu);
-        total.timed_out = true;
+        MergeMorselStatus(&total.status, why);
         return;
       }
       // Fault-injection boundary: a morsel that dies at dispatch must
       // cancel its siblings and surface one aggregate error, never
       // crash or silently drop its output share.
       if (WCOJ_FAILPOINT(worker_job_fp)) {
-        stop->RequestStop();
+        run_stop.RequestStop();
         MutexLock lock(mu);
-        total.timed_out = true;
         MergeMorselStatus(
             &total.status,
             Status(StatusCode::kInternal,
@@ -325,19 +326,17 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
                    "(failpoint worker.job)"));
         return;
       }
-      ExecOptions job_opts = opts;
+      ExecOptions job_opts = run_opts;
       job_opts.var0_min = a;
       job_opts.var0_max = b;
-      job_opts.stop = stop;
       job_opts.scratch = scratch_pool->ForWorker(worker);
       job_opts.cds_run_token = run_token;
       ExecResult r = engine.Execute(q, job_opts);
       // A failed morsel cancels the whole run: queued siblings skip,
       // running siblings wind down at their next poll.
-      if (r.timed_out || !r.ok()) stop->RequestStop();
+      if (!r.ok()) run_stop.RequestStop();
       MutexLock lock(mu);
-      if (!AddCount(&total, r.count)) stop->RequestStop();
-      total.timed_out |= r.timed_out;
+      if (!AddCount(&total, r.count)) run_stop.RequestStop();
       MergeMorselStatus(&total.status, r.status);
       total.stats.Add(r.stats);
       if (opts.collect_tuples) {

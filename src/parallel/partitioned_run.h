@@ -26,9 +26,10 @@
 // to the caller's ExecOptions::stop when set. A morsel that times out
 // — or an expired deadline observed at a morsel boundary — requests
 // the run's stop, queued morsels are skipped, and running engines wind
-// down at their next frontier check, so the whole run reports
-// timed_out promptly instead of grinding through the remaining ranges;
-// the caller's own token is observed but never written.
+// down at their next frontier check, so the whole run fails promptly
+// with the first morsel's cause instead of grinding through the
+// remaining ranges; the caller's own token is observed but never
+// written.
 //
 // Engines that ignore ExecOptions::var0_{min,max} (see
 // Engine::honors_var0_range) execute as a single morsel — fanning them

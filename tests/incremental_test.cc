@@ -38,6 +38,31 @@ TEST(IncrementalTest, DuplicateAndAbsentTuplesAreNoOps) {
   EXPECT_EQ(view.count(), base);
 }
 
+// An engine failure is the view's status, never a count: the clique
+// engine has no program for a 2-path, so the view fails with
+// kUnimplemented (an LFTJ view reads 2, then 3) and later updates
+// change nothing.
+TEST(IncrementalTest, EngineFailureLatchesInsteadOfCountingZero) {
+  Relation edge = Relation::FromTuples(2, {{0, 1}, {1, 2}, {2, 3}});
+  Query q = MustParseQuery("e(a,b), e(b,c)");
+  BoundQuery bq = Bind(q, {{"e", &edge}}, {"a", "b", "c"});
+  IncrementalCountView lftj_view = IncrementalCountView::ForRelation(bq, &edge);
+  ASSERT_TRUE(lftj_view.status().ok()) << lftj_view.status().ToString();
+  EXPECT_EQ(lftj_view.count(), 2u);
+  EXPECT_EQ(lftj_view.ApplyInserts({{3, 4}}), 1);
+  EXPECT_EQ(lftj_view.count(), 3u);
+
+  IncrementalCountView::Options options;
+  options.engine = "clique";
+  IncrementalCountView view =
+      IncrementalCountView::ForRelation(bq, &edge, options);
+  EXPECT_EQ(view.status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(view.ApplyInserts({{3, 4}}), 0);
+  EXPECT_EQ(view.ApplyDeletes({{0, 1}}), 0);
+  EXPECT_EQ(view.current().size(), edge.size());  // nothing applied
+  EXPECT_EQ(view.status().code(), StatusCode::kUnimplemented);
+}
+
 // Property sweep: maintained counts equal recomputation after random
 // insert/delete batches, across query shapes (including self-joins with
 // 2-4 occurrences of the mutable relation and static side relations).

@@ -476,7 +476,7 @@ TEST(PartitionedRunTest, MorselCountSumOverflowFailsClosed) {
 }
 
 // Regression: PartitionedExecute used to keep grinding through every
-// remaining partition after one reported timed_out. Now the first
+// remaining partition after one timed out. Now the first
 // timed-out morsel flips the shared stop token: queued morsels skip,
 // running engines wind down at their next frontier check, and the whole
 // deadline run finishes promptly.
@@ -500,7 +500,10 @@ TEST(PartitionedRunTest, TimeoutCancelsRemainingMorselsPromptly) {
       PartitionedExecute(*engine, bq, opts, /*num_threads=*/2,
                          /*granularity=*/8);
   const double elapsed = watch.ElapsedSeconds();
-  EXPECT_TRUE(r.timed_out);
+  // The morsel that saw the deadline is the root cause; its siblings'
+  // kCancelled must not mask it.
+  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
+      << r.status.ToString();
   // Generous bound for slow CI: the point is seconds-not-minutes — the
   // deadline is 20ms, and without propagation the run takes the query's
   // full multi-second cost.
@@ -508,7 +511,7 @@ TEST(PartitionedRunTest, TimeoutCancelsRemainingMorselsPromptly) {
 }
 
 // An externally pre-stopped token cancels before any morsel runs: no
-// partial counts leak and the result reads timed_out.
+// partial counts leak and the result reads kCancelled.
 TEST(PartitionedRunTest, ExternalStopTokenSkipsAllMorsels) {
   Graph g = Rmat(7, 420, 0.57, 0.19, 0.19, 31);
   GraphRelations rels = MakeGraphRelations(g);
@@ -522,7 +525,7 @@ TEST(PartitionedRunTest, ExternalStopTokenSkipsAllMorsels) {
   const ExecResult r =
       PartitionedExecute(*engine, bq, opts, /*num_threads=*/3,
                          /*granularity=*/4);
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.status.code(), StatusCode::kCancelled) << r.status.ToString();
   EXPECT_EQ(r.count, 0u);
 }
 
@@ -562,13 +565,15 @@ TEST(PartitionedRunTest, InternalTimeoutDoesNotPoisonCallerToken) {
   const ExecResult r =
       PartitionedExecute(*engine, bq, opts, /*num_threads=*/2,
                          /*granularity=*/4);
-  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.status.code(), StatusCode::kDeadlineExceeded)
+      << r.status.ToString();
   EXPECT_FALSE(caller_token.stop_requested());
 }
 
 // Every registered engine honors a pre-stopped token: it winds down at
-// its first frontier boundary and reports timed_out, the contract the
-// morsel scheduler's cross-partition cancellation relies on.
+// its first frontier boundary and reports kCancelled, the contract the
+// morsel scheduler's cross-partition cancellation relies on. The same
+// holds for the engine run through the morsel scheduler.
 TEST(StopTokenTest, EveryEngineHonorsARequestedStop) {
   Graph g = Rmat(8, 900, 0.57, 0.19, 0.19, 13);
   GraphRelations rels = MakeGraphRelations(g);
@@ -581,7 +586,13 @@ TEST(StopTokenTest, EveryEngineHonorsARequestedStop) {
   for (const std::string& name : EngineNames()) {
     auto engine = CreateEngine(name);
     const ExecResult r = engine->Execute(bq, opts);
-    EXPECT_TRUE(r.timed_out) << name;
+    EXPECT_EQ(r.status.code(), StatusCode::kCancelled)
+        << name << " " << r.status.ToString();
+    const ExecResult p = PartitionedExecute(*engine, bq, opts,
+                                            /*num_threads=*/4,
+                                            /*granularity=*/4);
+    EXPECT_EQ(p.status.code(), StatusCode::kCancelled)
+        << name << " partitioned " << p.status.ToString();
   }
 }
 
@@ -666,7 +677,6 @@ TEST(StopTokenTest, ParentCancelWindsDownConcurrentRunsPromptly) {
   // still proves the cancel reached every run through the chain.
   EXPECT_LT(watch.ElapsedSeconds(), 2.0);
   for (int i = 0; i < kRuns; ++i) {
-    EXPECT_TRUE(results[i].timed_out) << "run " << i;
     EXPECT_EQ(results[i].status.code(), StatusCode::kCancelled)
         << "run " << i;
   }
@@ -691,7 +701,6 @@ TEST(PartitionedRunTest, PreCancelledRunPerformsNoIndexBuilds) {
   const ExecResult r =
       PartitionedExecute(*engine, bq, opts, /*num_threads=*/3,
                          /*granularity=*/4);
-  EXPECT_TRUE(r.timed_out);
   EXPECT_EQ(r.status.code(), StatusCode::kCancelled);
   EXPECT_EQ(r.count, 0u);
   EXPECT_EQ(r.stats.index_builds, 0u);
@@ -706,7 +715,7 @@ TEST(PartitionedRunTest, PreCancelledRunPerformsNoIndexBuilds) {
 // Cancellation storm: a timer thread fires the StopToken at a random
 // point during execution, across every registered engine. Whatever the
 // cut lands on, the engine must return promptly in one of the two legal
-// end states (kCancelled+timed_out, or the exact count if it won the
+// end states (kCancelled, or the exact count if it won the
 // race), and the SAME warm scratch must serve an exact clean run right
 // after — no partial-run state may leak into the next query. This is
 // the TSan-leg companion to chaos_test's failpoint sweeps.
@@ -745,8 +754,7 @@ TEST(StopTokenTest, RandomCancellationPointsAcrossEveryEngine) {
       // Prompt return: the full query is milliseconds; seconds would
       // mean the stop was ignored.
       EXPECT_LT(watch.ElapsedSeconds(), 5.0);
-      EXPECT_EQ(r.timed_out, !r.status.ok()) << r.status.ToString();
-      if (r.timed_out) {
+      if (!r.ok()) {
         EXPECT_EQ(r.status.code(), StatusCode::kCancelled)
             << r.status.ToString();
       } else {
@@ -755,7 +763,7 @@ TEST(StopTokenTest, RandomCancellationPointsAcrossEveryEngine) {
       // Scratch reusability + stat integrity: the very next clean run
       // through the same scratch is exact and deterministic.
       const ExecResult clean = engine->Execute(bq, clean_opts);
-      EXPECT_FALSE(clean.timed_out) << clean.status.ToString();
+      EXPECT_TRUE(clean.ok()) << clean.status.ToString();
       EXPECT_EQ(clean.count, expected);
       EXPECT_EQ(clean.stats.seeks, ref.stats.seeks);
       EXPECT_EQ(clean.stats.constraints_inserted,
@@ -828,7 +836,7 @@ TEST(PartitionedRunTest, ReusedWorkerPoolServesRepeatedQueries) {
         *engine, bq, ExecOptions{}, /*num_threads=*/3, /*granularity=*/4,
         &scratch, &pool);
     EXPECT_EQ(r.count, direct.count) << "run " << run;
-    EXPECT_FALSE(r.timed_out);
+    EXPECT_TRUE(r.ok()) << r.status.ToString();
     EXPECT_GT(r.stats.cds_nodes_recycled, 0u) << "run " << run;
   }
 }
