@@ -5,6 +5,11 @@
 // (seekGap cache) and Ideas 4&6 (plus complete nodes) on the acyclic
 // workloads 2-comb / 3-path / 4-path across the 12 SNAP-mirror datasets.
 // Speedup = time(ms with the ideas off) / time(ms with them on).
+//
+// Our Idea 4 is a per-atom probe cursor: besides answering repeat probes
+// inside the last gap, as the paper's cache does, it resumes every other
+// probe from the prefix it shares with the last one. The Idea 4 block
+// therefore measures both; the off engines probe from the root.
 
 #include "bench/bench_common.h"
 

@@ -30,6 +30,7 @@ void Cds::Reset() {
   root_ = arena_->AllocNode(kCdsNull, kWildcard, ++id_counter_);
   frontier_.assign(num_vars_, kFrontierFloor);
   depth_ = 0;
+  resume_depth_ = 0;
   stopped_ = false;
   poll_counter_ = 0;
   constraints_inserted_ = 0;
@@ -61,6 +62,7 @@ void Cds::ResumeRetainingTree() {
   stopped_ = false;
   poll_counter_ = 0;
   depth_ = 0;
+  resume_depth_ = 0;
   // See the header: in-progress rotations must not survive into a
   // sweep over a different var0 range. Completeness already earned by
   // full within-execution rotations stays — those marks are facts about
@@ -73,6 +75,7 @@ void Cds::SetFrontier(const Tuple& t) {
   for (int d = 0; d < num_vars_; ++d) {
     if (frontier_[d] != t[d]) {
       InvalidateLevelsFrom(d + 1);  // levels d+1.. depend on frontier_[d]
+      LowerResumeDepth(d);
       break;
     }
   }
@@ -104,7 +107,12 @@ bool Cds::InsertConstraint(const Constraint& c) {
     node = n(next);
     ++d;
   }
-  if (generalizes) InvalidateLevelsFrom(c.depth() + 1);  // subtree deletes
+  if (generalizes) {
+    InvalidateLevelsFrom(c.depth() + 1);  // subtree deletes
+    // The new interval joins the chain at c.depth(). A pattern that does
+    // not generalize the frontier prefix changes no chain on its path.
+    LowerResumeDepth(c.depth());
+  }
   node->InsertInterval(arena_, c.lo, c.hi);
   ++constraints_inserted_;
   return true;
@@ -209,7 +217,12 @@ void Cds::Truncate(CdsNode* u) {
 }
 
 bool Cds::ComputeFreeTuple() {
-  depth_ = 0;
+  // Depths above the watermark would only re-confirm y == x and re-record
+  // unit gaps they already hold (see the header). At num_vars_ nothing
+  // changed since the last free tuple, which therefore still stands.
+  if (resume_depth_ == num_vars_) return true;
+  depth_ = resume_depth_;
+  resume_depth_ = 0;  // every false return below restarts from the root
   std::vector<ChainNode>& chain = chain_;
   for (;;) {
     if ((deadline_ != nullptr || stop_ != nullptr) &&
@@ -299,7 +312,10 @@ bool Cds::ComputeFreeTuple() {
       }
     }
     frontier_[depth_] = y;
-    if (depth_ == num_vars_ - 1) return true;
+    if (depth_ == num_vars_ - 1) {
+      resume_depth_ = num_vars_;
+      return true;
+    }
     ++depth_;
   }
 }
@@ -316,6 +332,7 @@ uint64_t Cds::DrainCompleteLastLevel(uint64_t required_mask) {
   const uint64_t k = bottom->CountEntriesGe(frontier_[d] + 1);
   counted_outputs_ += k;
   frontier_[d] = kPosInf;  // exhaust the class; next call backtracks
+  LowerResumeDepth(d);
   return k;
 }
 

@@ -98,6 +98,13 @@ class Cds {
   // avoids every stored constraint. Returns false when the output space is
   // exhausted. On true, frontier() holds the free tuple; trailing
   // coordinates may be -1 when no constraint restricts them yet.
+  //
+  // The descent resumes at a watermark rather than at the root: the first
+  // depth whose prefix or chain changed since the last free tuple
+  // (SetFrontier's first changed coordinate, an InsertConstraint's depth,
+  // the drained last depth). Every depth above it would re-confirm its
+  // value (y == x) and re-record unit gaps it already holds, so skipping
+  // them yields the same frontier sequence as a descent from the root.
   bool ComputeFreeTuple();
 
   const Tuple& frontier() const { return frontier_; }
@@ -177,6 +184,10 @@ class Cds {
   // Algorithm 6. May delete `u`'s branch; adjusts depth_.
   void Truncate(CdsNode* u);
 
+  void LowerResumeDepth(int depth) {
+    if (resume_depth_ > depth) resume_depth_ = depth;
+  }
+
   int num_vars_;
   Options options_;
   const Deadline* deadline_ = nullptr;
@@ -189,6 +200,10 @@ class Cds {
   CdsIndex root_ = kCdsNull;
   Tuple frontier_;
   int depth_ = 0;
+  // First depth the next ComputeFreeTuple must search: num_vars_ right
+  // after a free tuple is returned, lowered by every frontier or chain
+  // change, 0 after a reset or a false return.
+  int resume_depth_ = 0;
   uint64_t constraints_inserted_ = 0;
   uint64_t counted_outputs_ = 0;
   bool complete_shortcut_ok_ = true;  // per-depth gate set by the caller

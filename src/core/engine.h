@@ -31,7 +31,8 @@ struct EngineStats {
   uint64_t seeks = 0;                 // index probe operations
   uint64_t constraints_inserted = 0;  // Minesweeper CDS inserts
   uint64_t free_tuples = 0;           // Minesweeper candidate tuples
-  uint64_t gap_cache_hits = 0;        // Idea 4 avoided probes
+  uint64_t gap_cache_hits = 0;        // Idea 4: probes answered by the
+                                      // atom's cursor without a seek
   uint64_t intermediate_tuples = 0;   // baseline materialized rows
   uint64_t index_builds = 0;          // TrieIndex constructions performed
   uint64_t index_cache_hits = 0;      // catalog indexes reused, no build

@@ -19,14 +19,101 @@ namespace {
 
 constexpr Value kFloor = -1;
 
-// Idea 4: remembers the last gap an atom produced so repeat probes into
-// the same region can be answered without touching the index.
-struct GapCache {
-  bool valid = false;
-  int fail_pos = 0;           // atom-local trie depth of the interval
-  std::vector<Value> prefix;  // projection values before fail_pos
-  Value glb = kNegInf, lub = kPosInf;
-  bool at_last_attr = false;
+// Idea 4: one probe cursor per atom. Successive free tuples share long
+// prefixes, so successive projections onto an atom do too. The cursor
+// keeps the atom's last projection and, for each trie depth that probe
+// reached, the CSR range [lo, hi) under the projection's prefix and the
+// LowerBound position found in it. A probe resumes at the first depth
+// where the new projection differs instead of at the root. It costs no
+// seek when the projection agrees through the last probe's fail depth
+// (same member, same gap), or differs only there and either stays
+// strictly inside the last gap or lands on its upper end, where the
+// cursor already sits. Without `resume` (the "ms-noidea4" ablation)
+// every probe starts at the root, the paper's plain seekGap.
+class ProbeCursor {
+ public:
+  ProbeCursor(const TrieIndex& index, const std::vector<int>& vars)
+      : index_(index),
+        vars_(vars),
+        proj_(vars.size()),
+        lo_(vars.size()),
+        hi_(vars.size()),
+        pos_(vars.size()) {
+    if (!vars.empty()) hi_[0] = index.LevelSize(0);
+  }
+
+  // Probes the projection of `t` onto the atom's variables and returns
+  // the number of seeks spent (0: answered from the cursor). Afterwards
+  // found() tells membership; otherwise LiftGap() gives the gap box.
+  uint64_t Probe(const Tuple& t, bool resume) {
+    const int arity = static_cast<int>(vars_.size());
+    int d = 0;
+    const bool resuming = resume && fail_ >= 0;
+    if (resuming) {
+      // The last answer depends on the projection through its fail depth
+      // only; d is the first depth in there that changed.
+      const int last = std::min(fail_, arity - 1);
+      while (d <= last && t[vars_[d]] == proj_[d]) ++d;
+      if (d > last) return 0;  // same member / same gap
+      const Value v = t[vars_[d]];
+      if (d == fail_ && glb_ < v && v < lub_) {
+        proj_[d] = v;  // still inside the last gap
+        return 0;
+      }
+    }
+    const int start = d;
+    uint64_t seeks = 0;
+    for (; d < arity; ++d) {
+      const Value v = t[vars_[d]];
+      size_t p;
+      if (resuming && d == start && pos_[d] < hi_[d] &&
+          index_.KeyAt(d, pos_[d]) == v) {
+        p = pos_[d];  // the cursor already sits on v: the last gap's lub
+      } else {
+        // pos_[start] is the last LowerBound at this range; a larger value
+        // cannot lie before it.
+        const size_t from =
+            resuming && d == start && v > proj_[d] ? pos_[d] : lo_[d];
+        ++seeks;
+        p = index_.LowerBound(d, from, hi_[d], v);
+      }
+      proj_[d] = v;
+      pos_[d] = p;
+      if (p == hi_[d] || index_.KeyAt(d, p) != v) {
+        fail_ = d;
+        glb_ = p > lo_[d] ? index_.KeyAt(d, p - 1) : kNegInf;
+        lub_ = p < hi_[d] ? index_.KeyAt(d, p) : kPosInf;
+        return seeks;
+      }
+      if (d + 1 < arity) {
+        lo_[d + 1] = index_.ChildBegin(d, p);
+        hi_[d + 1] = index_.ChildEnd(d, p);
+      }
+    }
+    fail_ = arity;
+    return seeks;
+  }
+
+  bool found() const { return fail_ == static_cast<int>(vars_.size()); }
+
+  // §4.5: lift the last probe's atom-local gap to a global constraint.
+  // Equalities at the atom's attribute positions before the failing one,
+  // wildcards elsewhere.
+  void LiftGap(Constraint* c) const {
+    c->pattern.assign(vars_[fail_], kWildcard);
+    for (int p = 0; p < fail_; ++p) c->pattern[vars_[p]] = proj_[p];
+    c->lo = glb_;
+    c->hi = lub_;
+  }
+
+ private:
+  const TrieIndex& index_;
+  const std::vector<int>& vars_;  // sorted GAO positions, trie order
+  Tuple proj_;                    // valid through min(fail_, arity - 1)
+  std::vector<size_t> lo_, hi_;   // range searched at each reached depth
+  std::vector<size_t> pos_;       // LowerBound result at each depth
+  int fail_ = -1;                 // -1: nothing probed yet
+  Value glb_ = kNegInf, lub_ = kPosInf;
 };
 
 class MsRun {
@@ -58,7 +145,10 @@ class MsRun {
     }
     skeleton_.assign(q.atoms.size(), true);
     if (ms.idea7_skeleton) skeleton_ = BetaAcyclicSkeleton(q);
-    caches_.resize(q.atoms.size());
+    cursors_.reserve(q.atoms.size());
+    for (size_t a = 0; a < q.atoms.size(); ++a) {
+      cursors_.emplace_back(*indexes_.at(a), atom_vars_[a]);
+    }
     // Union of prefix positions of atoms (and filters) participating at
     // the last depth: the Idea 8 drain soundness mask.
     const int last = q.num_vars - 1;
@@ -125,7 +215,12 @@ class MsRun {
     Tuple prev_free;
     bool prev_output = true;
     uint64_t iters = 0;
+    // Per-tuple buffers, reused so the loop allocates only when collecting
+    // output tuples or growing the CDS.
+    Tuple t;
     Tuple advance(q_.num_vars);
+    Tuple next;
+    Constraint c;
 
     while (cds.ComputeFreeTuple()) {
       if ((opts_.stop != nullptr && opts_.stop->stop_requested()) ||
@@ -136,7 +231,7 @@ class MsRun {
         break;
       }
       // Copy: the Idea 8 drain below mutates the CDS frontier in place.
-      const Tuple t = cds.frontier();
+      t = cds.frontier();
       if (t[0] > opts_.var0_max) break;
       ++result_->stats.free_tuples;
 
@@ -156,14 +251,13 @@ class MsRun {
       bool have_advance = false;
       bool exhausted = false;
 
-      auto apply_gap_advance = [&](const Constraint& c) {
-        Tuple next;
+      auto apply_gap_advance = [&] {
         if (!AdvancePastGap(c, t, kFloor, &next)) {
           exhausted = true;
           return;
         }
         if (!have_advance || CompareTuples(next, advance) > 0) {
-          advance = std::move(next);
+          advance.swap(next);
           have_advance = true;
         }
       };
@@ -172,7 +266,6 @@ class MsRun {
       for (const auto& [lo, hi] : q_.less_than) {
         if (t[lo] < t[hi]) continue;
         found_gap = true;
-        Constraint c;
         if (lo < hi) {
           c.pattern.assign(hi, kWildcard);
           c.pattern[lo] = t[lo];
@@ -184,46 +277,24 @@ class MsRun {
           c.lo = t[hi] - 1;  // rules out values >= t[hi]
           c.hi = kPosInf;
         }
-        apply_gap_advance(c);
+        apply_gap_advance();
         if (exhausted) break;
       }
 
-      // Probe every atom for a maximal gap box (Idea 3), short-circuited
-      // by the Idea 4 cache.
+      // Probe every atom for a maximal gap box (Idea 3), resumed from the
+      // atom's cursor (Idea 4).
       for (size_t a = 0; !exhausted && a < q_.atoms.size(); ++a) {
-        Tuple proj(atom_vars_[a].size());
-        for (size_t i = 0; i < proj.size(); ++i) proj[i] = t[atom_vars_[a][i]];
-
-        Constraint c;
-        bool have_gap = false;
-        if (ms_.idea4_gap_cache && CacheAnswers(a, proj, &c, &have_gap)) {
-          ++result_->stats.gap_cache_hits;
-          if (!have_gap) continue;  // cache proves no gap from this atom
-        } else {
-          TrieIndex::GapProbe probe =
-              indexes_.at(a)->SeekGap(proj, &result_->stats.seeks);
-          if (probe.found) {
-            caches_[a].valid = true;
-            caches_[a].fail_pos = probe.fail_pos;  // == arity: membership
-            caches_[a].at_last_attr = false;
-            caches_[a].prefix.assign(proj.begin(), proj.end());
-            continue;
-          }
-          caches_[a].valid = true;
-          caches_[a].fail_pos = probe.fail_pos;
-          caches_[a].prefix.assign(proj.begin(), proj.begin() + probe.fail_pos);
-          caches_[a].glb = probe.glb;
-          caches_[a].lub = probe.lub;
-          caches_[a].at_last_attr =
-              probe.fail_pos + 1 == static_cast<int>(proj.size());
-          c = MakeConstraint(a, probe.fail_pos, proj, probe.glb, probe.lub);
-          have_gap = true;
-        }
+        ProbeCursor& cursor = cursors_[a];
+        const uint64_t seeks = cursor.Probe(t, ms_.idea4_gap_cache);
+        result_->stats.seeks += seeks;
+        if (seeks == 0) ++result_->stats.gap_cache_hits;
+        if (cursor.found()) continue;
+        cursor.LiftGap(&c);
         found_gap = true;
         if (skeleton_[a]) {
           cds.InsertConstraint(c);
         } else {
-          apply_gap_advance(c);  // Idea 7: advance only
+          apply_gap_advance();  // Idea 7: advance only
         }
       }
 
@@ -240,8 +311,8 @@ class MsRun {
         if (drained == 0) {
           // Idea 2: advance the frontier past the reported tuple. (When
           // the drain fired it already exhausted the class.)
-          Tuple next = t;
-          if (next.back() == kPosInf) break;  // cannot advance further
+          if (t.back() == kPosInf) break;  // cannot advance further
+          next = t;
           ++next.back();
           cds.SetFrontier(next);
         }
@@ -318,45 +389,6 @@ class MsRun {
   }
 
  private:
-  // Idea 4. Returns true if the cache decides the probe: either "no gap
-  // can come from this atom" (have_gap=false: the projection sits exactly
-  // on the cached gap's right endpoint at the atom's last attribute, hence
-  // is a member) or "the cached gap still contains the projection"
-  // (have_gap=true, *c filled).
-  bool CacheAnswers(size_t a, const Tuple& proj, Constraint* c,
-                    bool* have_gap) {
-    const GapCache& cache = caches_[a];
-    if (!cache.valid) return false;
-    if (cache.fail_pos == static_cast<int>(proj.size())) return false;
-    if (!std::equal(cache.prefix.begin(), cache.prefix.end(), proj.begin())) {
-      return false;
-    }
-    const Value v = proj[cache.fail_pos];
-    if (cache.at_last_attr && v == cache.lub && IsFinite(cache.lub)) {
-      *have_gap = false;  // (prefix, lub) is a data tuple; no gap possible
-      return true;
-    }
-    if (cache.glb < v && v < cache.lub) {
-      *c = MakeConstraint(a, cache.fail_pos, proj, cache.glb, cache.lub);
-      *have_gap = true;
-      return true;
-    }
-    return false;
-  }
-
-  // §4.5: lift an atom-local gap to a global constraint. Equalities at the
-  // atom's attribute positions before the failing one, wildcards elsewhere.
-  Constraint MakeConstraint(size_t a, int fail_pos, const Tuple& proj,
-                            Value glb, Value lub) {
-    const std::vector<int>& vars = atom_vars_[a];
-    Constraint c;
-    c.pattern.assign(vars[fail_pos], kWildcard);
-    for (int p = 0; p < fail_pos; ++p) c.pattern[vars[p]] = proj[p];
-    c.lo = glb;
-    c.hi = lub;
-    return c;
-  }
-
   const MsOptions& ms_;
   const BoundQuery& q_;
   const ExecOptions& opts_;
@@ -364,7 +396,7 @@ class MsRun {
   AtomIndexSet indexes_;
   std::vector<std::vector<int>> atom_vars_;  // sorted GAO positions per atom
   std::vector<bool> skeleton_;
-  std::vector<GapCache> caches_;
+  std::vector<ProbeCursor> cursors_;
   uint64_t last_depth_mask_ = 0;
 };
 

@@ -8,8 +8,11 @@
 //
 //  Idea 1  pointList                    -> core/cds.*
 //  Idea 2  moving frontier             -> core/cds.* + output handling here
-//  Idea 3  maximal gap boxes           -> storage/trie.* SeekGap + here
-//  Idea 4  seekGap avoidance cache     -> here
+//  Idea 3  maximal gap boxes           -> here (storage/trie.* SeekGap
+//                                         semantics)
+//  Idea 4  seekGap avoidance           -> here: a per-atom probe cursor
+//          resumes each probe from the prefix it shares with the atom's
+//          last one, and answers the same member or gap without a seek
 //  Idea 5  backtracking & truncation   -> core/cds.*
 //  Idea 6  complete nodes              -> core/cds.*
 //  Idea 7  β-acyclic skeleton          -> query/hypergraph.* + here

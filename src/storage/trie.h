@@ -30,7 +30,9 @@
 //    written against (Veldhuizen '14, section 3).
 //  * SeekGap — Minesweeper's probe (§4.5): given a projected tuple, either
 //    confirm membership or return the maximal gap box around it via
-//    greatest-lower-bound / least-upper-bound seeks.
+//    greatest-lower-bound / least-upper-bound seeks. This is the probe
+//    from the root; the engine's per-atom cursor (core/minesweeper.cc)
+//    walks the same CSR levels but resumes from the last probe's prefix.
 //
 // Seeks use galloping (exponential) search so a run of short moves costs
 // amortized O(1 + log distance), which both algorithms' analyses assume.

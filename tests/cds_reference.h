@@ -440,13 +440,17 @@ struct CdsWorkloadResult {
   uint64_t frontier_hash = 0;    // FNV-1a over the full sequence
   uint64_t inserted = 0;         // accepted constraint inserts
   uint64_t counted = 0;          // DrainCompleteLastLevel tallies
+  uint64_t jumps = 0;            // mid-prefix SetFrontier jumps
 };
 
 // Drives one CDS implementation through an engine-shaped loop: compute a
 // free tuple, then either report it (advance the moving frontier past it,
 // occasionally draining the last level like #Minesweeper) or insert
-// gap-box constraints around it. Patterns are derived from the frontier
-// prefix the way MakeConstraint lifts atom-local gaps: `chain_only`
+// gap-box constraints around it, sometimes followed by a mid-prefix
+// frontier jump: one coordinate above the last moves forward and every
+// deeper one resets to -1, as Idea 7 and filter advances do
+// (AdvancePastGap). Patterns are derived from the frontier
+// prefix the way ProbeCursor::LiftGap lifts atom-local gaps: `chain_only`
 // produces prefix-equality patterns (masks nest -> chain regime), and
 // otherwise arbitrary equality subsets (the §4.8 poset regime, the shape
 // cyclic queries produce without Idea 7). Values come from a skewed
@@ -540,6 +544,14 @@ CdsWorkloadResult DriveCdsWorkload(CdsT* cds, int num_vars, uint64_t seed,
       c.lo = center - 1 - skewed(domain / 16 + 2);
       c.hi = center + 1 + skewed(domain / 16 + 2);
       if (cds->InsertConstraint(c)) ++result.inserted;
+    }
+    if (num_vars > 1 && rng.NextBounded(4) == 0) {
+      const int j = static_cast<int>(rng.NextBounded(num_vars - 1));
+      advance = t;
+      advance[j] = std::max<Value>(t[j], 0) + 1 + skewed(domain / 16 + 2);
+      for (int d = j + 1; d < num_vars; ++d) advance[d] = -1;
+      cds->SetFrontier(advance);
+      ++result.jumps;
     }
   }
   assert(result.inserted == cds->constraints_inserted());

@@ -312,6 +312,35 @@ TEST(CdsTest, EnumeratesExactlyTheFreeLattice) {
   EXPECT_EQ(seen, (std::vector<Value>{2, 3, 4, 7, 8, 9}));
 }
 
+TEST(CdsTest, DrainedClassMovesOnToTheNextPrefix) {
+  // a in {0,1,2}, b in {0,1,2} under every a. Two full b-rotations make
+  // the wildcard node at depth 1 complete (Idea 6), so the third prefix
+  // class drains wholesale (Idea 8). The next search must start at the
+  // drained last depth, not return the exhausted (2, +inf) frontier.
+  Cds::Options options;
+  options.count_mode = true;
+  Cds cds(2, options);
+  cds.InsertConstraint(MakeC({}, kNegInf, 0));
+  cds.InsertConstraint(MakeC({}, 2, kPosInf));
+  cds.InsertConstraint(MakeC({kWildcard}, kNegInf, 0));
+  cds.InsertConstraint(MakeC({kWildcard}, 2, kPosInf));
+  std::vector<Tuple> seen;
+  uint64_t drained = 0;
+  while (seen.size() < 16 && cds.ComputeFreeTuple()) {
+    seen.push_back(cds.frontier());
+    const uint64_t k = cds.DrainCompleteLastLevel(0);
+    drained += k;
+    if (k == 0) {
+      Tuple next = cds.frontier();
+      ++next.back();
+      cds.SetFrontier(next);
+    }
+  }
+  EXPECT_EQ(seen, (std::vector<Tuple>{
+                      {0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1}, {1, 2}, {2, 0}}));
+  EXPECT_EQ(drained, 2u);
+}
+
 TEST(CdsTest, SubsumedConstraintIsRejected) {
   Cds cds(2, Cds::Options{});
   cds.InsertConstraint(MakeC({}, 2, 9));

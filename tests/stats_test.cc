@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/atom_index.h"
 #include "core/engine.h"
@@ -38,7 +41,11 @@ TEST(StatsTest, MinesweeperReportsWork) {
   EXPECT_GT(r.stats.seeks, 0u);
 }
 
-TEST(StatsTest, Idea4CacheFiresAndSavesSeeks) {
+TEST(StatsTest, Idea4CursorAnswersProbesWithoutSeeks) {
+  // gap_cache_hits counts probes the cursor answered without a seek. A
+  // resumed probe never seeks more than a probe from the root, and a hit
+  // seeks not at all where a root probe seeks at least once, so the
+  // hits fit inside the seeks the ablation spends beyond ms.
   Graph g = Rmat(8, 900, 0.57, 0.19, 0.19, 13);
   GraphRelations rels = MakeGraphRelations(g);
   rels.v1 = SampleNodes(g, 5, 1);
@@ -49,7 +56,86 @@ TEST(StatsTest, Idea4CacheFiresAndSavesSeeks) {
   EXPECT_EQ(with.count, without.count);
   EXPECT_GT(with.stats.gap_cache_hits, 0u);
   EXPECT_EQ(without.stats.gap_cache_hits, 0u);
-  EXPECT_LT(with.stats.seeks, without.stats.seeks);
+  EXPECT_LE(with.stats.seeks + with.stats.gap_cache_hits, without.stats.seeks);
+}
+
+TEST(StatsTest, Idea4CursorChangesSeeksOnly) {
+  // Resuming a probe from its shared prefix returns the root probe's
+  // answer, so ms and ms-noidea4 visit the same free tuples and insert
+  // the same constraints on the acyclic 3-path and 2-comb and on the
+  // triangle; only the seeks drop.
+  Graph g = Rmat(8, 900, 0.57, 0.19, 0.19, 13);
+  GraphRelations rels = MakeGraphRelations(g);
+  rels.v1 = SampleNodes(g, 10, 1);
+  rels.v2 = SampleNodes(g, 10, 2);
+  const std::pair<const char*, std::vector<std::string>> queries[] = {
+      {"v1(a), v2(d), edge(a,b), edge(b,c), edge(c,d)", {"a", "b", "c", "d"}},
+      {"v1(c), v2(d), edge(a,b), edge(a,c), edge(b,d)", {"a", "b", "c", "d"}},
+      {"edge_lt(a,b), edge_lt(b,c), edge_lt(a,c)", {"a", "b", "c"}},
+  };
+  for (const auto& [text, gao] : queries) {
+    BoundQuery bq = Bind(MustParseQuery(text), rels.Map(), gao);
+    ExecResult with = CreateEngine("ms")->Execute(bq, ExecOptions{});
+    ExecResult without =
+        CreateEngine("ms-noidea4")->Execute(bq, ExecOptions{});
+    EXPECT_GT(with.count, 0u) << text;
+    EXPECT_EQ(with.count, without.count) << text;
+    EXPECT_EQ(with.stats.free_tuples, without.stats.free_tuples) << text;
+    EXPECT_EQ(with.stats.constraints_inserted,
+              without.stats.constraints_inserted)
+        << text;
+    EXPECT_LT(with.stats.seeks, without.stats.seeks) << text;
+  }
+}
+
+TEST(StatsTest, Idea4UnchangedMemberProjectionCostsNoSeek) {
+  // r holds every `a` of s, so each free tuple projects onto r as a
+  // member, and that projection changes only when `a` does. Adding r to
+  // the query adds one probe per free tuple; ms seeks only for the 3
+  // distinct projections, while ms-noidea4 seeks once per probe.
+  Relation r(1), s(2);
+  for (Value a = 1; a <= 3; ++a) {
+    r.Add({a});
+    for (Value b = 1; b <= 5; ++b) s.Add({a, b});
+  }
+  r.Build();
+  s.Build();
+  const std::map<std::string, const Relation*> rels = {{"r", &r}, {"s", &s}};
+  BoundQuery alone = Bind(MustParseQuery("s(a,b)"), rels, {"a", "b"});
+  BoundQuery joined = Bind(MustParseQuery("r(a), s(a,b)"), rels, {"a", "b"});
+  for (const char* engine : {"ms", "ms-noidea4"}) {
+    const ExecResult base = CreateEngine(engine)->Execute(alone, ExecOptions{});
+    const ExecResult more =
+        CreateEngine(engine)->Execute(joined, ExecOptions{});
+    ASSERT_EQ(more.count, 15u) << engine;
+    ASSERT_EQ(more.stats.free_tuples, base.stats.free_tuples) << engine;
+    const uint64_t r_seeks = more.stats.seeks - base.stats.seeks;
+    const uint64_t r_hits =
+        more.stats.gap_cache_hits - base.stats.gap_cache_hits;
+    if (std::string(engine) == "ms") {
+      EXPECT_EQ(r_seeks, 3u);
+      EXPECT_EQ(r_hits, more.stats.free_tuples - 3);
+    } else {
+      EXPECT_EQ(r_seeks, more.stats.free_tuples);
+      EXPECT_EQ(r_hits, 0u);
+    }
+  }
+}
+
+TEST(StatsTest, Idea4LandingOnTheLastGapsUpperEndCostsNoSeek) {
+  // s(1,b) for b in {2,5,9}. Free tuples (1,2) (1,3) (1,5) (1,6) (1,9):
+  // 1,3 and 1,6 fall into the gaps (2,5) and (5,9), and the frontier then
+  // lands on each gap's upper end, where the cursor already sits.
+  Relation s(2);
+  for (Value b : {2, 5, 9}) s.Add({1, b});
+  s.Build();
+  const std::map<std::string, const Relation*> rels = {{"s", &s}};
+  BoundQuery bq = Bind(MustParseQuery("s(a,b)"), rels, {"a", "b"});
+  const ExecResult r = CreateEngine("ms")->Execute(bq, ExecOptions{});
+  ASSERT_EQ(r.count, 3u);
+  ASSERT_EQ(r.stats.free_tuples, 5u);
+  EXPECT_EQ(r.stats.gap_cache_hits, 2u);  // at (1,5) and (1,9)
+  EXPECT_EQ(r.stats.seeks, 4u);  // 2 for the first probe, 1 per gap
 }
 
 TEST(StatsTest, Idea6ReducesFreeTupleSearchWork) {
