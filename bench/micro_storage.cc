@@ -32,7 +32,6 @@
 #include "core/engine.h"
 #include "core/leapfrog.h"
 #include "graph/generators.h"
-#include "parallel/job_pool.h"
 #include "parallel/partitioned_run.h"
 #include "parallel/worker_pool.h"
 #include "query/parser.h"
@@ -1072,7 +1071,7 @@ void EmitCdsArenaReport(const char* path) {
 
 // Faithful port of the pre-change §4.10 partitioner: num_threads *
 // granularity value-uniform var0 ranges (lo + span*p/parts boundaries)
-// pulled off JobPool's shared cursor, per-worker scratch. Kept here
+// run on a per-call WorkerPool, per-worker scratch. Kept here
 // only as the baseline the BENCH_morsel_sched.json speedups are
 // measured against. The node-id domains below are narrow, so the span
 // arithmetic that overflows on wide domains (fixed by the rank-based
@@ -1084,7 +1083,7 @@ ExecResult StaticPartitionedExecute(const Engine& engine, const BoundQuery& q,
                                     ExecScratchPool* scratch_pool) {
   ExecResult total;
   scratch_pool->Reserve(std::max(1, num_threads));
-  IndexCatalog* catalog = EffectiveCatalog(q, opts);
+  IndexCatalog* catalog = q.catalog;
   Value lo = kPosInf, hi = kNegInf;
   for (const auto& atom : q.atoms) {
     if (std::find(atom.vars.begin(), atom.vars.end(), 0) ==
@@ -1118,7 +1117,7 @@ ExecResult StaticPartitionedExecute(const Engine& engine, const BoundQuery& q,
       total.stats.Add(r.stats);
     });
   }
-  JobPool(num_threads).Run(jobs);
+  WorkerPool(num_threads).Run(jobs);
   return total;
 }
 

@@ -1,29 +1,15 @@
 #include "baseline/binary_join.h"
 
 #include <algorithm>
-#include <cassert>
-#include <unordered_map>
 #include <vector>
 
 #include "baseline/planner.h"
-#include "storage/catalog.h"
+#include "core/atom_index.h"
 #include "storage/trie.h"
 
 namespace wcoj {
 
 namespace {
-
-// FNV-1a over a key tuple.
-struct KeyHash {
-  size_t operator()(const Tuple& t) const {
-    uint64_t h = 1469598103934665603ULL;
-    for (Value v : t) {
-      h ^= static_cast<uint64_t>(v);
-      h *= 1099511628211ULL;
-    }
-    return static_cast<size_t>(h);
-  }
-};
 
 class BinaryJoinRun {
  public:
@@ -33,7 +19,7 @@ class BinaryJoinRun {
         opts_(opts),
         strategy_(strategy),
         result_(result),
-        catalog_(EffectiveCatalog(q, opts)),
+        catalog_(q.catalog),
         inter_charge_(opts.budget) {}
 
   void Run() {
@@ -47,7 +33,7 @@ class BinaryJoinRun {
       if (step == 0) {
         inter = ScanAtom(a, &bound);
       } else {
-        inter = HashJoinStep(inter, a, &bound);
+        inter = IndexProbeStep(inter, a, &bound);
       }
       result_->stats.intermediate_tuples += inter.size();
       // Charge the materialized intermediate against the query budget
@@ -107,10 +93,15 @@ class BinaryJoinRun {
     return true;
   }
 
-  std::vector<Tuple> HashJoinStep(const std::vector<Tuple>& inter, int a,
-                                  std::vector<int>* bound) {
+  // Joins the intermediate with atom `a` over the run catalog's CSR trie
+  // index on (key_cols..., new_cols...), where the key columns are the
+  // atom's already-bound variables (none = cartesian product): per
+  // intermediate row, an equality descent over the key levels (one
+  // galloped node per level), then a DFS over the matched subtree
+  // emitting the new-column values.
+  std::vector<Tuple> IndexProbeStep(const std::vector<Tuple>& inter, int a,
+                                    std::vector<int>* bound) {
     const auto& atom = q_.atoms[a];
-    // Join keys: atom columns whose variable is already bound.
     std::vector<int> key_cols, new_cols;
     std::vector<int> key_inter_cols;
     for (size_t c = 0; c < atom.vars.size(); ++c) {
@@ -121,60 +112,10 @@ class BinaryJoinRun {
         new_cols.push_back(static_cast<int>(c));
       }
     }
-    std::vector<Tuple> out;
-    if (catalog_ != nullptr) {
-      // Resident-index path: probe the catalog's sorted (key-major) index
-      // instead of rebuilding a hash table every execution. Same output
-      // set as the hash path, emitted in index order.
-      out = IndexProbeStep(inter, a, key_cols, key_inter_cols, new_cols);
-      RecordNewColumns(inter, a, new_cols, bound);
-      return out;
-    }
-    // Build side: the atom, keyed on the shared columns (empty key =
-    // cartesian product, as a conventional executor would do).
-    std::unordered_multimap<Tuple, size_t, KeyHash> build;
-    build.reserve(atom.relation->size());
-    for (size_t r = 0; r < atom.relation->size(); ++r) {
-      Tuple key(key_cols.size());
-      for (size_t i = 0; i < key_cols.size(); ++i) {
-        key[i] = atom.relation->At(r, key_cols[i]);
-      }
-      if (!Var0Ok(atom.vars, atom.relation->RowTuple(r))) continue;
-      build.emplace(std::move(key), r);
-      if (Expired()) return {};
-    }
-    for (const Tuple& row : inter) {
-      Tuple key(key_inter_cols.size());
-      for (size_t i = 0; i < key_inter_cols.size(); ++i) {
-        key[i] = row[key_inter_cols[i]];
-      }
-      auto [lo, hi] = build.equal_range(key);
-      for (auto it = lo; it != hi; ++it) {
-        Tuple next = row;
-        for (int c : new_cols) {
-          next.push_back(q_.atoms[a].relation->At(it->second, c));
-        }
-        out.push_back(std::move(next));
-        if (Expired()) return out;
-      }
-    }
-    RecordNewColumns(inter, a, new_cols, bound);
-    return out;
-  }
-
-  // Probe side of a join step over the catalog's CSR trie index on
-  // (key_cols..., new_cols...): per intermediate row, an equality
-  // descent over the key levels (one galloped node per level), then a
-  // DFS over the matched subtree emitting the new-column values.
-  std::vector<Tuple> IndexProbeStep(const std::vector<Tuple>& inter, int a,
-                                    const std::vector<int>& key_cols,
-                                    const std::vector<int>& key_inter_cols,
-                                    const std::vector<int>& new_cols) {
-    const auto& atom = q_.atoms[a];
     std::vector<int> perm = key_cols;
     perm.insert(perm.end(), new_cols.begin(), new_cols.end());
     Status build_status;
-    const TrieIndex* index = catalog_->GetOrBuildCounted(
+    const TrieIndex* index = catalog_.get()->GetOrBuildCounted(
         *atom.relation, std::move(perm), &result_->stats.index_builds,
         &result_->stats.index_cache_hits, opts_.budget, &build_status);
     if (index == nullptr) {
@@ -186,7 +127,7 @@ class BinaryJoinRun {
     }
     // Trie column holding var0, if the atom binds it (partition filter).
     // Like Var0Ok, the filter reads the FIRST relation column binding
-    // var0, so both paths agree even when an atom repeats the variable.
+    // var0, so the scan and the probe agree when an atom repeats it.
     int var0_col = -1;
     for (size_t c = 0; c < atom.vars.size() && var0_col < 0; ++c) {
       if (atom.vars[c] != 0) continue;
@@ -251,6 +192,7 @@ class BinaryJoinRun {
       }
       emit(emit, row, k, lo, hi);
     }
+    RecordNewColumns(inter, a, new_cols, bound);
     return out;
   }
 
@@ -289,7 +231,7 @@ class BinaryJoinRun {
   const ExecOptions& opts_;
   PlanStrategy strategy_;
   ExecResult* result_;
-  IndexCatalog* catalog_;  // null = legacy per-step hash builds
+  RunCatalog catalog_;  // q's catalog, or one scoped to this run
   ScopedCharge inter_charge_;  // live materialized-intermediate bytes
   uint64_t steps_ = 0;
 };

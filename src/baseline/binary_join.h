@@ -1,12 +1,14 @@
 #ifndef WCOJ_BASELINE_BINARY_JOIN_H_
 #define WCOJ_BASELINE_BINARY_JOIN_H_
 
-// Pairwise hash-join executor over a Selinger-style plan: the stand-in for
+// Pairwise join executor over a Selinger-style plan: the stand-in for
 // the conventional relational systems the paper benchmarks (PostgreSQL /
-// MonetDB). Each plan step hash-joins the materialized intermediate with
-// the next atom; on cyclic graph patterns the intermediates blow up by the
-// Ω(sqrt(N)) factor the paper attributes to all pairwise optimizers, which
-// is exactly the behaviour the comparison needs.
+// MonetDB). Each plan step joins the materialized intermediate with the
+// next atom by probing the catalog's sorted trie index on that atom, as
+// a LogicBlox pairwise plan probes its resident indexes; no hash join
+// remains. On cyclic graph patterns the intermediates blow up by the
+// Ω(sqrt(N)) factor the paper attributes to all pairwise optimizers,
+// which is exactly the behaviour the comparison needs.
 
 #include "core/engine.h"
 

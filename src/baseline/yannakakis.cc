@@ -95,15 +95,14 @@ ExecResult YannakakisEngine::Execute(const BoundQuery& q,
 
   // Join the reduced relations with the DP pairwise engine. The reduced
   // relations are transient locals, so the shared catalog must not index
-  // them: strip it from both the query copy and the options. The join
-  // finalizes its result against the same budget and stop.
+  // them: the stripped query makes the join index them in a catalog
+  // scoped to its run. The join finalizes its result against the same
+  // budget and stop.
   BoundQuery rq = q;
   rq.catalog = nullptr;
   for (size_t i = 0; i < m; ++i) rq.atoms[i].relation = &reduced[i];
-  ExecOptions join_opts = opts;
-  join_opts.catalog = nullptr;
   BinaryJoinEngine join(BinaryJoinFlavor::kRowStore);
-  ExecResult joined = join.Execute(rq, join_opts);
+  ExecResult joined = join.Execute(rq, opts);
   joined.stats.intermediate_tuples += result.stats.intermediate_tuples;
   return joined;
 }

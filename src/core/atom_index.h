@@ -3,9 +3,9 @@
 
 // Per-execution resolution of the GAO-consistent trie index of every
 // atom in a BoundQuery — the one place the LFTJ / Minesweeper / hybrid
-// engines get their indexes from. With a catalog the indexes are shared
-// and memoized (LogicBlox's resident-index regime); without one each
-// execution builds private copies, the repo's original behaviour.
+// engines get their indexes from. Every index comes from a catalog:
+// the query's shared one (LogicBlox's resident-index regime), or, for a
+// query bound without one, a catalog scoped to the run (RunCatalog).
 
 #include <memory>
 #include <vector>
@@ -17,15 +17,34 @@
 
 namespace wcoj {
 
+// The catalog one run resolves its indexes in: `shared` when non-null,
+// else a fresh IndexCatalog owned by this object. A run-scoped catalog
+// builds each distinct (relation, permutation) once, exactly as a cold
+// shared catalog would, and dies with the run — so a caller that
+// changes relations between runs never probes a stale index, and
+// transient relations never enter a shared catalog.
+class RunCatalog {
+ public:
+  explicit RunCatalog(IndexCatalog* shared)
+      : owned_(shared == nullptr ? std::make_unique<IndexCatalog>()
+                                 : nullptr),
+        catalog_(shared != nullptr ? shared : owned_.get()) {}
+
+  IndexCatalog* get() const { return catalog_; }
+
+ private:
+  std::unique_ptr<IndexCatalog> owned_;
+  IndexCatalog* catalog_;
+};
+
 class AtomIndexSet {
  public:
-  // Resolves one index per atom of `q`, recording build / cache-hit
-  // counts into *stats. `prebuilt` (when non-null) supplies per-atom
-  // overrides; its null entries fall through to the catalog-or-build
-  // path. Indexes resolved without a catalog are owned by this object.
-  // `budget` governs any builds this resolution performs; a refused
-  // build leaves a null slot and a non-OK status() — engines must check
-  // ok() before probing.
+  // Resolves one index per atom of `q` in RunCatalog(catalog), recording
+  // build / cache-hit counts into *stats. `prebuilt` (when non-null)
+  // supplies per-atom overrides; its null entries fall through to the
+  // catalog. `budget` governs any builds this resolution performs; a
+  // refused build leaves a null slot and a non-OK status() — engines
+  // must check ok() before probing.
   AtomIndexSet(const BoundQuery& q, IndexCatalog* catalog, EngineStats* stats,
                const std::vector<const TrieIndex*>* prebuilt = nullptr,
                MemoryBudget* budget = nullptr);
@@ -39,8 +58,8 @@ class AtomIndexSet {
   const Status& status() const { return status_; }
 
  private:
+  RunCatalog catalog_;  // owns the indexes of a catalog-less query
   std::vector<const TrieIndex*> ptrs_;
-  std::vector<std::unique_ptr<TrieIndex>> owned_;
   Status status_;
 };
 

@@ -135,8 +135,6 @@ struct ExecOptions {
   // parallel output-space partitioner (§4.10).
   Value var0_min = kNegInf;
   Value var0_max = kPosInf;
-  // Overrides BoundQuery::catalog when set (same lifetime contract).
-  IndexCatalog* catalog = nullptr;
   // Warm per-worker scratch; null means per-run private arenas. Must
   // outlive the execution and see at most one execution at a time.
   ExecScratch* scratch = nullptr;
@@ -190,12 +188,6 @@ struct ExecOptions {
     return Status(StatusCode::kDeadlineExceeded, "deadline expired");
   }
 };
-
-// The catalog an execution should fetch indexes from, if any.
-inline IndexCatalog* EffectiveCatalog(const BoundQuery& q,
-                                      const ExecOptions& opts) {
-  return opts.catalog != nullptr ? opts.catalog : q.catalog;
-}
 
 struct ExecResult {
   uint64_t count = 0;
@@ -278,8 +270,9 @@ ExecResult RunTimed(const Engine& engine, const BoundQuery& q,
 //   "ms-noidea4", "ms-noidea6", "ms-noidea7", "ms-noidea46"  ablations
 //   "#ms"         counting Minesweeper (Idea 8)
 //   "hybrid"      Minesweeper prefix + LFTJ suffix (§4.12)
-//   "psql"        Selinger-style DP plan over pairwise hash joins
-//   "monetdb"     same plan space, column-batch execution flavor
+//   "psql"        Selinger-style DP plan over pairwise joins that probe
+//                 the catalog's sorted tries (no hash join)
+//   "monetdb"     same plan space and probes, greedy smallest-first plan
 //   "yannakakis"  semijoin-reduction engine for alpha-acyclic queries
 //   "clique"      specialized triangle/4-clique engine (GraphLab stand-in)
 // Returns nullptr for unknown names.

@@ -66,11 +66,16 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
   }
   const int n = q.num_vars;
 
+  // One catalog for the prefix run and the suffix indexes: the query's,
+  // or one scoped to this Execute, so a catalog-less run builds each
+  // distinct index once, as a cold shared catalog does.
+  const RunCatalog catalog(q.catalog);
+
   // Prefix query over GAO positions [0, s); shares the full query's
   // catalog (same relations, prefix-truncated permutations).
   BoundQuery prefix;
   prefix.num_vars = s;
-  prefix.catalog = q.catalog;
+  prefix.catalog = catalog.get();
   for (const auto& atom : q.atoms) {
     if (AllVarsBelow(atom.vars, s)) prefix.atoms.push_back(atom);
   }
@@ -115,11 +120,10 @@ ExecResult HybridEngine::Execute(const BoundQuery& q,
   // LFTJ runs once per junction value and must not re-sort the
   // relations. Catalog-resident indexes are shared; the per-junction
   // singleton below is transient and must never enter the catalog, so
-  // the suffix queries themselves carry no catalog and the singleton
-  // slot stays a per-call private build.
-  AtomIndexSet suffix_indexes(suffix, EffectiveCatalog(q, opts),
-                              &result.stats, /*prebuilt=*/nullptr,
-                              opts.budget);
+  // the suffix queries themselves carry no catalog: each call builds the
+  // singleton in its own run-scoped catalog.
+  AtomIndexSet suffix_indexes(suffix, catalog.get(), &result.stats,
+                              /*prebuilt=*/nullptr, opts.budget);
   if (!suffix_indexes.ok()) {
     result.status = suffix_indexes.status();
     FinalizeExecStatus(&result, opts);

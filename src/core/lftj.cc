@@ -122,8 +122,7 @@ class LftjRun {
         // One trie index per atom, columns ordered by GAO position
         // (GAO-consistency assumption); prebuilt and catalog-resident
         // indexes are reused instead of rebuilt.
-        indexes_(q, EffectiveCatalog(q, opts), &result->stats, prebuilt,
-                 opts.budget),
+        indexes_(q, q.catalog, &result->stats, prebuilt, opts.budget),
         cache_charge_(opts.budget) {
     // Structured preconditions, checked before any iterator or join is
     // constructed: a failed (budget-refused / fault-injected) index

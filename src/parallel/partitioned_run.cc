@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/atom_index.h"
-#include "parallel/job_pool.h"
 #include "storage/trie.h"
 #include "util/failpoint.h"
 #include "util/thread_annotations.h"
@@ -28,7 +27,7 @@ struct WarmKey {
   }
 };
 
-struct WarmKeyHash {
+struct HashWarmKey {
   size_t operator()(const WarmKey& k) const {
     size_t h = std::hash<const void*>()(k.relation);
     for (int c : k.perm) {
@@ -95,7 +94,7 @@ EngineStats WarmQueryIndexesParallel(const BoundQuery& q, int num_threads,
   if (q.catalog == nullptr) return stats;
   // Distinct (relation, permutation) keys; the map owns each key once,
   // `keys` preserves node-stable pointers for the build jobs.
-  std::unordered_map<WarmKey, size_t, WarmKeyHash> key_ids;
+  std::unordered_map<WarmKey, size_t, HashWarmKey> key_ids;
   std::vector<const WarmKey*> keys;
   std::vector<size_t> atom_key(q.atoms.size());
   for (size_t a = 0; a < q.atoms.size(); ++a) {
@@ -105,7 +104,8 @@ EngineStats WarmQueryIndexesParallel(const BoundQuery& q, int num_threads,
     atom_key[a] = it->second;
   }
   // One build job per distinct key; the catalog serializes same-key
-  // racers internally, so distinct keys are the real parallelism.
+  // racers internally, so distinct keys are the real parallelism. One
+  // key gets a one-thread pool, which builds inline.
   std::vector<char> built(keys.size(), 0);
   std::vector<Status> build_status(keys.size());
   std::vector<std::function<void()>> jobs;
@@ -121,16 +121,18 @@ EngineStats WarmQueryIndexesParallel(const BoundQuery& q, int num_threads,
       built[k] = b ? 1 : 0;
     });
   }
-  JobPool(num_threads).Run(jobs);
+  WorkerPool(std::min(num_threads, static_cast<int>(keys.size()))).Run(jobs);
   if (status != nullptr) {
     for (const Status& st : build_status) status->Update(st);
   }
   // Per-atom accounting, matching the serial WarmQueryIndexes: the
   // first atom of each key records its build (or resident hit), every
-  // repeat atom a hit.
+  // repeat atom a hit. A key whose build failed books neither, as
+  // GetOrBuildCounted does.
   std::vector<char> seen(keys.size(), 0);
   for (size_t a = 0; a < q.atoms.size(); ++a) {
     const size_t k = atom_key[a];
+    if (!build_status[k].ok()) continue;
     if (!seen[k] && built[k]) {
       ++stats.index_builds;
     } else {
@@ -177,24 +179,21 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
     job_opts.scratch = scratch_pool->ForWorker(0);
     return engine.Execute(q, job_opts);
   }
-  IndexCatalog* catalog = EffectiveCatalog(q, opts);
   // GAO indexes are only pre-built (and only read for domain metadata
   // below) for engines that actually consume them; for the others the
   // catalog would retain full sorted copies nobody probes.
   const bool use_gao_indexes =
-      catalog != nullptr &&
+      q.catalog != nullptr &&
       engine.catalog_warmup() == CatalogWarmup::kGaoIndexes;
   if (use_gao_indexes) {
     // Warm the shared catalog once, before any job runs: every morsel
     // then executes over the same resident indexes, so the whole run
     // performs one build per distinct (relation, permutation) pair no
     // matter how many morsels there are. Distinct indexes build
-    // concurrently across the job pool instead of serially.
-    BoundQuery warm_q = q;
-    warm_q.catalog = catalog;
+    // concurrently on a worker pool instead of serially.
     Status warm_status;
     total.stats.Add(
-        WarmQueryIndexesParallel(warm_q, threads, opts.budget, &warm_status));
+        WarmQueryIndexesParallel(q, threads, opts.budget, &warm_status));
     if (!warm_status.ok()) {
       // A refused/faulted shared build would fail every morsel the same
       // way; fail the run closed before spawning any.
@@ -224,7 +223,7 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
       // this key, and the stats counters track engine work, not
       // orchestration lookups.
       const TrieIndex* index =
-          catalog->GetOrBuild(*atom.relation, GaoConsistentPerm(atom.vars));
+          q.catalog->GetOrBuild(*atom.relation, GaoConsistentPerm(atom.vars));
       if (index == nullptr || index->size() == 0) continue;
       lo = std::min(lo, index->ColMin(0));
       hi = std::max(hi, index->ColMax(0));

@@ -54,10 +54,12 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
                               WorkerPool* worker_pool = nullptr);
 
 // Parallel flavor of WarmQueryIndexes (core/atom_index.h): builds the
-// GAO-consistent index of every atom of `q` in its catalog, one JobPool
-// job per *distinct* (relation, permutation) pair, so a cold partitioned
-// run constructs independent indexes concurrently instead of serially.
-// Per-atom build/hit accounting is identical to the serial warm pass.
+// GAO-consistent index of every atom of `q` in its catalog, one job per
+// *distinct* (relation, permutation) pair on a WorkerPool of
+// min(num_threads, distinct pairs) threads, so a cold partitioned run
+// constructs independent indexes concurrently instead of serially.
+// Per-atom build/hit accounting is identical to the serial warm pass: a
+// failed build books neither.
 // No-op without a catalog. Builds are governed by `budget` when given;
 // the first build failure (budget refusal / injected fault) is folded
 // into *status.

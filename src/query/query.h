@@ -58,8 +58,10 @@ struct BoundQuery {
   // Shared bind-time index catalog (set by the Database overload of
   // Bind, or by hand). Engines fetch memoized GAO-consistent trie
   // indexes through it instead of rebuilding per execution; null means
-  // legacy per-run builds. Non-owning: the catalog and the relations
-  // behind its indexes must outlive every execution of this query.
+  // each execution indexes in a catalog of its own that dies with it
+  // (RunCatalog, core/atom_index.h). Non-owning: the catalog and the
+  // relations behind its indexes must outlive every execution of this
+  // query.
   IndexCatalog* catalog = nullptr;
 
   // Sorted GAO positions of atom `i`'s variables.

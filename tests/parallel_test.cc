@@ -13,84 +13,18 @@
 #include "core/engine.h"
 #include "graph/generators.h"
 #include "graph/sampling.h"
-#include "parallel/job_pool.h"
 #include "parallel/partitioned_run.h"
 #include "parallel/worker_pool.h"
 #include "query/parser.h"
 #include "storage/trie.h"
 #include "tests/test_util.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
 
 namespace wcoj {
 namespace {
-
-TEST(JobPoolTest, RunsEveryJobExactlyOnce) {
-  std::vector<std::atomic<int>> hits(50);
-  for (auto& h : hits) h = 0;
-  std::vector<std::function<void()>> jobs;
-  for (int i = 0; i < 50; ++i) {
-    jobs.push_back([&hits, i]() { ++hits[i]; });
-  }
-  JobPool(4).Run(jobs);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(JobPoolTest, SingleThreadAndEmptyJobListWork) {
-  std::atomic<int> n{0};
-  JobPool(1).Run(std::vector<std::function<void()>>{[&]() { ++n; },
-                                                    [&]() { ++n; }});
-  EXPECT_EQ(n.load(), 2);
-  JobPool(3).Run(std::vector<std::function<void()>>{});
-}
-
-TEST(JobPoolTest, DegenerateBatchesRunInlineOnCallerThread) {
-  // num_threads == 1 or a single job: no thread spawn — every job runs
-  // on the calling thread, in submission order.
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::thread::id> seen;
-  std::vector<int> order;
-  std::vector<std::function<void()>> two_jobs = {
-      [&]() { seen.push_back(std::this_thread::get_id()); order.push_back(0); },
-      [&]() { seen.push_back(std::this_thread::get_id()); order.push_back(1); },
-  };
-  JobPool(1).Run(two_jobs);
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], caller);
-  EXPECT_EQ(seen[1], caller);
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-
-  seen.clear();
-  std::vector<std::function<void()>> one_job = {
-      [&]() { seen.push_back(std::this_thread::get_id()); }};
-  JobPool(8).Run(one_job);  // many threads, one job: still inline
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], caller);
-}
-
-TEST(JobPoolTest, WorkerIndexedJobsSeeValidWorkerIds) {
-  constexpr int kThreads = 4;
-  std::vector<std::atomic<int>> hits(64);
-  for (auto& h : hits) h = 0;
-  std::atomic<int> bad_worker{0};
-  std::vector<std::function<void(int)>> jobs;
-  for (int i = 0; i < 64; ++i) {
-    jobs.push_back([&, i](int worker) {
-      if (worker < 0 || worker >= kThreads) ++bad_worker;
-      ++hits[i];
-    });
-  }
-  JobPool(kThreads).Run(jobs);
-  EXPECT_EQ(bad_worker.load(), 0);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // Inline flavor reports worker 0.
-  std::atomic<int> worker_sum{-1};
-  std::vector<std::function<void(int)>> one = {
-      [&](int worker) { worker_sum = worker; }};
-  JobPool(kThreads).Run(one);
-  EXPECT_EQ(worker_sum.load(), 0);
-}
 
 // --- WorkerPool: persistent threads, per-worker deques, steal-half ---
 
@@ -126,6 +60,14 @@ TEST(WorkerPoolTest, StressEveryJobRunsExactlyOncePerBatch) {
       EXPECT_EQ(hits[i].load(), 1) << "batch " << batch << " job " << i;
     }
   }
+  // The worker-blind flavor (one-shot fan-out such as the catalog
+  // pre-warm) on the same pool: every job exactly once.
+  std::vector<std::atomic<int>> hits(kJobs);
+  for (auto& h : hits) h = 0;
+  std::vector<std::function<void()>> jobs;
+  for (int i = 0; i < kJobs; ++i) jobs.push_back([&hits, i]() { ++hits[i]; });
+  pool.Run(jobs);
+  for (int i = 0; i < kJobs; ++i) EXPECT_EQ(hits[i].load(), 1) << "job " << i;
 }
 
 TEST(WorkerPoolTest, DegenerateBatchesRunInlineInOrder) {
@@ -147,7 +89,11 @@ TEST(WorkerPoolTest, DegenerateBatchesRunInlineInOrder) {
   threaded.Run(std::vector<std::function<void(int)>>{
       [&](int w) { worker_seen = w; }});
   EXPECT_EQ(worker_seen.load(), 0);
-  threaded.Run(std::vector<std::function<void()>>{});  // empty batch: no-op
+  // Empty batches are no-ops in both flavors, inline and threaded.
+  for (WorkerPool* pool : {&serial, &threaded}) {
+    pool->Run(std::vector<std::function<void()>>{});
+    pool->Run(std::vector<std::function<void(int)>>{});
+  }
 }
 
 // Partitioned execution must produce identical counts to a direct run for
@@ -198,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// Hammer GetOrBuild from the job pool: every distinct (relation, perm)
+// Hammer GetOrBuild from a worker pool: every distinct (relation, perm)
 // key must be built exactly once, and every concurrent caller must
 // receive the pointer-identical resident index.
 TEST(IndexCatalogTest, ConcurrentGetOrBuildBuildsOncePerKey) {
@@ -221,7 +167,7 @@ TEST(IndexCatalogTest, ConcurrentGetOrBuildBuildsOncePerKey) {
       }
     });
   }
-  JobPool(8).Run(jobs);
+  WorkerPool(8).Run(jobs);
   EXPECT_EQ(catalog.builds(), keys.size());
   EXPECT_EQ(catalog.size(), keys.size());
   EXPECT_EQ(catalog.hits(), kJobs * keys.size() - keys.size());
@@ -304,6 +250,47 @@ TEST(PartitionedRunTest, ParallelPrewarmBuildsOncePerDistinctIndex) {
   const EngineStats none = WarmQueryIndexesParallel(bq, 4);
   EXPECT_EQ(none.index_builds, 0u);
   EXPECT_EQ(none.index_cache_hits, 0u);
+}
+
+// A build that fails books neither a build nor a hit, on the serial and
+// the parallel pre-warm alike (GetOrBuildCounted's contract): with every
+// trie build faulted, both report 0 / 0 and leave nothing resident.
+TEST(PartitionedRunTest, ParallelPrewarmCountsNoFailedBuild) {
+  Graph g = Rmat(7, 420, 0.57, 0.19, 0.19, 31);
+  GraphRelations rels = MakeGraphRelations(g);
+  rels.v1 = SampleNodes(g, 3.0, 4);
+  rels.v2 = SampleNodes(g, 3.0, 5);
+  const std::pair<const char*, std::vector<std::string>> queries[] = {
+      {"edge(a,b), edge(b,c), edge(c,d)", {"a", "b", "c", "d"}},
+      {"v1(a), v2(d), edge(a,b), edge(b,c), edge(c,d)",
+       {"a", "b", "c", "d"}},
+  };
+  for (const auto& [text, gao] : queries) {
+    BoundQuery bq = Bind(MustParseQuery(text), rels.Map(), gao);
+    FailPoints::Arm("trie.build", 1, /*times=*/-1);
+    IndexCatalog serial_catalog;
+    bq.catalog = &serial_catalog;
+    const EngineStats serial = WarmQueryIndexes(bq);
+    for (int threads : {1, 4}) {
+      IndexCatalog catalog;
+      bq.catalog = &catalog;
+      Status status;
+      const EngineStats parallel =
+          WarmQueryIndexesParallel(bq, threads, /*budget=*/nullptr, &status);
+      EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+          << text << " threads=" << threads;
+      EXPECT_EQ(parallel.index_builds, serial.index_builds)
+          << text << " threads=" << threads;
+      EXPECT_EQ(parallel.index_cache_hits, serial.index_cache_hits)
+          << text << " threads=" << threads;
+      EXPECT_EQ(catalog.size(), serial_catalog.size())
+          << text << " threads=" << threads;
+    }
+    FailPoints::DisarmAll();
+    EXPECT_EQ(serial.index_builds, 0u) << text;
+    EXPECT_EQ(serial.index_cache_hits, 0u) << text;
+    EXPECT_EQ(serial_catalog.size(), 0u) << text;
+  }
 }
 
 // The PR 4 acceptance bar: partition jobs draw their CDS from per-worker

@@ -311,16 +311,59 @@ TEST(StatsTest, PairwiseIntermediatesExplodeOnCliques) {
   EXPECT_GT(inter_ratio, edge_ratio);  // superlinear blowup
 }
 
-TEST(StatsTest, LegacyPathCountsOneBuildPerAtom) {
+// A run without a catalog resolves its indexes in a catalog scoped to
+// that run: one build per distinct (relation, permutation), like a cold
+// shared catalog, and nothing survives into the next run.
+TEST(StatsTest, NoCatalogRunBuildsOncePerDistinctIndex) {
   Graph g = Rmat(7, 400, 0.57, 0.19, 0.19, 13);
   GraphRelations rels = MakeGraphRelations(g);
   rels.v1 = SampleNodes(g, 5, 1);
   rels.v2 = SampleNodes(g, 5, 2);
   BoundQuery bq = ThreePath(rels);  // v1, v2, edge, edge, edge
   for (const char* name : {"lftj", "ms"}) {
-    ExecResult r = CreateEngine(name)->Execute(bq, ExecOptions{});
-    EXPECT_EQ(r.stats.index_builds, 5u) << name;
-    EXPECT_EQ(r.stats.index_cache_hits, 0u) << name;
+    auto engine = CreateEngine(name);
+    for (int run = 0; run < 2; ++run) {
+      const ExecResult r = engine->Execute(bq, ExecOptions{});
+      EXPECT_EQ(r.stats.index_builds, 3u) << name << " run=" << run;
+      EXPECT_EQ(r.stats.index_cache_hits, 2u) << name << " run=" << run;
+    }
+    IndexCatalog catalog;
+    BoundQuery cold_q = bq;
+    cold_q.catalog = &catalog;
+    const ExecResult cold = engine->Execute(cold_q, ExecOptions{});
+    EXPECT_EQ(cold.stats.index_builds, 3u) << name;
+    EXPECT_EQ(cold.stats.index_cache_hits, 2u) << name;
+  }
+}
+
+// Yannakakis joins reduced copies of its relations and the hybrid binds
+// each junction through a transient singleton. Neither may enter a
+// shared catalog: on a warm one, both runs leave it exactly as found.
+TEST(StatsTest, TransientRelationsNeverEnterTheSharedCatalog) {
+  Graph g = Rmat(7, 420, 0.57, 0.19, 0.19, 31);
+  GraphRelations rels = MakeGraphRelations(g);
+  rels.v1 = SampleNodes(g, 3.0, 4);
+  rels.v2 = SampleNodes(g, 3.0, 5);
+  const std::pair<const char*, std::vector<std::string>> queries[] = {
+      {"v1(c), v2(d), edge(a,b), edge(a,c), edge(b,d)",  // 2-comb
+       {"a", "b", "c", "d"}},
+      {"v1(a), v2(d), edge(a,b), edge(b,c), edge(c,d)",  // 3-path
+       {"a", "b", "c", "d"}},
+  };
+  for (const auto& [text, gao] : queries) {
+    IndexCatalog catalog;
+    BoundQuery bq = Bind(MustParseQuery(text), rels.Map(), gao);
+    bq.catalog = &catalog;
+    WarmQueryIndexes(bq);
+    const size_t size = catalog.size();
+    const uint64_t builds = catalog.builds();
+    for (const char* name : {"yannakakis", "hybrid"}) {
+      const ExecResult r = CreateEngine(name)->Execute(bq, ExecOptions{});
+      ASSERT_TRUE(r.ok()) << name << " " << text;
+      EXPECT_GT(r.count, 0u) << name << " " << text;
+      EXPECT_EQ(catalog.size(), size) << name << " " << text;
+      EXPECT_EQ(catalog.builds(), builds) << name << " " << text;
+    }
   }
 }
 
@@ -349,7 +392,11 @@ TEST(StatsTest, WarmCatalogRunBuildsNothing) {
   }
 }
 
-TEST(StatsTest, CatalogPathMatchesLegacyForEveryEngine) {
+// Every engine answers the same through a shared catalog, cold and
+// warm, as without one; and a run without a catalog counts the builds
+// and hits of a cold shared catalog, since its run-scoped catalog starts
+// cold too.
+TEST(StatsTest, CatalogRunMatchesNoCatalogRunForEveryEngine) {
   Graph g = Rmat(7, 420, 0.57, 0.19, 0.19, 31);
   GraphRelations rels = MakeGraphRelations(g);
   rels.v1 = SampleNodes(g, 3.0, 4);
@@ -360,22 +407,26 @@ TEST(StatsTest, CatalogPathMatchesLegacyForEveryEngine) {
        {"a", "b", "c", "d"}},
   };
   for (const auto& [text, gao] : queries) {
-    BoundQuery legacy_q = Bind(MustParseQuery(text), rels.Map(), gao);
+    BoundQuery plain_q = Bind(MustParseQuery(text), rels.Map(), gao);
     for (const std::string& name : EngineNames()) {
-      const ExecResult legacy =
-          CreateEngine(name)->Execute(legacy_q, ExecOptions{});
+      const ExecResult plain =
+          CreateEngine(name)->Execute(plain_q, ExecOptions{});
       IndexCatalog catalog;
-      BoundQuery catalog_q = legacy_q;
+      BoundQuery catalog_q = plain_q;
       catalog_q.catalog = &catalog;
       // Twice: cold (building through the catalog) and warm (resident).
       const ExecResult cold =
           CreateEngine(name)->Execute(catalog_q, ExecOptions{});
       const ExecResult warm =
           CreateEngine(name)->Execute(catalog_q, ExecOptions{});
-      EXPECT_EQ(cold.status.code(), legacy.status.code())
+      EXPECT_EQ(cold.status.code(), plain.status.code())
           << name << " " << text;
-      EXPECT_EQ(cold.count, legacy.count) << name << " " << text;
-      EXPECT_EQ(warm.count, legacy.count) << name << " " << text;
+      EXPECT_EQ(cold.count, plain.count) << name << " " << text;
+      EXPECT_EQ(warm.count, plain.count) << name << " " << text;
+      EXPECT_EQ(plain.stats.index_builds, cold.stats.index_builds)
+          << name << " " << text;
+      EXPECT_EQ(plain.stats.index_cache_hits, cold.stats.index_cache_hits)
+          << name << " " << text;
     }
   }
 }
@@ -473,29 +524,32 @@ TEST(StatsTest, IndexCounterAccountingIsLayoutInvariant) {
        {"a", "b", "c", "d"}},
   };
   for (const auto& [text, gao] : queries) {
-    BoundQuery legacy_q = Bind(MustParseQuery(text), rels.Map(), gao);
+    BoundQuery plain_q = Bind(MustParseQuery(text), rels.Map(), gao);
     for (const std::string& name : EngineNames()) {
       auto engine = CreateEngine(name);
-      const ExecResult legacy = engine->Execute(legacy_q, ExecOptions{});
+      const ExecResult plain = engine->Execute(plain_q, ExecOptions{});
       IndexCatalog catalog_a, catalog_b;
-      BoundQuery qa = legacy_q, qb = legacy_q;
+      BoundQuery qa = plain_q, qb = plain_q;
       qa.catalog = &catalog_a;
       qb.catalog = &catalog_b;
       const ExecResult cold_a = engine->Execute(qa, ExecOptions{});
       const ExecResult cold_b = engine->Execute(qb, ExecOptions{});
-      EXPECT_EQ(cold_a.count, legacy.count) << name << " " << text;
-      EXPECT_EQ(cold_b.count, legacy.count) << name << " " << text;
+      EXPECT_EQ(cold_a.count, plain.count) << name << " " << text;
+      EXPECT_EQ(cold_b.count, plain.count) << name << " " << text;
       EXPECT_EQ(cold_a.stats.index_builds, cold_b.stats.index_builds)
           << name << " " << text;
       EXPECT_EQ(cold_a.stats.index_cache_hits, cold_b.stats.index_cache_hits)
           << name << " " << text;
-      // The legacy path never consults a catalog, so it can only build.
-      EXPECT_EQ(legacy.stats.index_cache_hits, 0u) << name << " " << text;
+      // A run without a catalog starts from a cold run-scoped one.
+      EXPECT_EQ(plain.stats.index_builds, cold_a.stats.index_builds)
+          << name << " " << text;
+      EXPECT_EQ(plain.stats.index_cache_hits, cold_a.stats.index_cache_hits)
+          << name << " " << text;
       // Warm rerun on catalog_a: every resolution is a cache hit. (The
       // hybrid is excluded: it builds a transient singleton index per
       // junction value by design, so its warm runs report builds.)
       const ExecResult warm = engine->Execute(qa, ExecOptions{});
-      EXPECT_EQ(warm.count, legacy.count) << name << " " << text;
+      EXPECT_EQ(warm.count, plain.count) << name << " " << text;
       if (engine->catalog_warmup() != CatalogWarmup::kNone &&
           name != "hybrid") {
         EXPECT_EQ(warm.stats.index_builds, 0u) << name << " " << text;
