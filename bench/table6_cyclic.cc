@@ -14,8 +14,10 @@ int main() {
   PrintHeader("Table 6: cyclic queries (seconds)");
 
   const std::vector<std::string> queries = {"3-clique", "4-clique", "4-cycle"};
-  const std::vector<std::string> engines = {"lftj", "ms", "psql", "monetdb",
-                                            "clique"};
+  // lftj-nocache is the paper's (enumerating) LFTJ; lftj counts over
+  // suffix caches, which on 4-cycle save work.
+  const std::vector<std::string> engines = {"lftj-nocache", "lftj", "ms",
+                                            "psql", "monetdb", "clique"};
   const std::vector<std::string> datasets = AllDatasetNames();
 
   for (const auto& qname : queries) {

@@ -7,6 +7,7 @@
 // the query's shared one (LogicBlox's resident-index regime), or, for a
 // query bound without one, a catalog scoped to the run (RunCatalog).
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -65,8 +66,26 @@ class AtomIndexSet {
 
 // Pre-builds the GAO-consistent index of every atom of `q` in its
 // catalog (no-op without one), so subsequent executions — e.g. the
-// §4.10 partitioner's jobs — run warm. Returns the build/hit counts.
-EngineStats WarmQueryIndexes(const BoundQuery& q);
+// §4.10 partitioner's jobs — run warm. One build per distinct
+// (relation, permutation) key. Per-atom accounting: the first atom of a
+// key books its build (or resident hit), every repeat atom a hit. A key
+// whose build fails (budget refusal / injected fault) books neither, is
+// not retried at its later atoms, and folds its cause into *status.
+// Builds are governed by `budget` when given.
+EngineStats WarmQueryIndexes(const BoundQuery& q,
+                             MemoryBudget* budget = nullptr,
+                             Status* status = nullptr);
+
+// Runs a batch of independent jobs, each exactly once, and returns when
+// all have finished.
+using JobRunner =
+    std::function<void(const std::vector<std::function<void()>>&)>;
+
+// WarmQueryIndexes with the per-key build jobs handed to `run`; the
+// serial pass runs them in order on the calling thread, the parallel
+// one (parallel/partitioned_run.h) on a WorkerPool.
+EngineStats WarmQueryIndexesWith(const BoundQuery& q, MemoryBudget* budget,
+                                 Status* status, const JobRunner& run);
 
 }  // namespace wcoj
 

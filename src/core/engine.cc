@@ -19,6 +19,9 @@ ExecResult RunTimed(const Engine& engine, const BoundQuery& q,
 
 std::unique_ptr<Engine> CreateEngine(const std::string& name) {
   if (name == "lftj") return std::make_unique<LftjEngine>();
+  if (name == "lftj-nocache") {
+    return std::make_unique<LftjEngine>(/*split_counts=*/false);
+  }
   if (name == "ms") return std::make_unique<MinesweeperEngine>();
   if (name == "#ms") {
     MsOptions o;
@@ -59,9 +62,10 @@ std::unique_ptr<Engine> CreateEngine(const std::string& name) {
 }
 
 std::vector<std::string> EngineNames() {
-  return {"lftj",        "ms",          "#ms",     "ms-noidea4",
-          "ms-noidea6",  "ms-noidea46", "ms-noidea7", "hybrid",
-          "psql",        "monetdb",     "yannakakis", "clique"};
+  return {"lftj",       "lftj-nocache", "ms",          "#ms",
+          "ms-noidea4", "ms-noidea6",   "ms-noidea46", "ms-noidea7",
+          "hybrid",     "psql",         "monetdb",     "yannakakis",
+          "clique"};
 }
 
 }  // namespace wcoj

@@ -266,6 +266,8 @@ ExecResult RunTimed(const Engine& engine, const BoundQuery& q,
 
 // Factory over the fixed engine set:
 //   "lftj"        Leapfrog Triejoin
+//   "lftj-nocache" ablation: count mode without suffix caches or
+//                 component products, i.e. the enumerating search
 //   "ms"          Minesweeper, all ideas on
 //   "ms-noidea4", "ms-noidea6", "ms-noidea7", "ms-noidea46"  ablations
 //   "#ms"         counting Minesweeper (Idea 8)

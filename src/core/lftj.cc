@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -114,7 +115,10 @@ constexpr size_t kMaxCacheSlots = size_t{1} << 20;
 // Per-execution state; the engine object itself stays stateless.
 class LftjRun {
  public:
-  LftjRun(const BoundQuery& q, const ExecOptions& opts,
+  // `split_counts` plans count mode over independent suffix components
+  // with cached suffix counts; without it (and in collect mode) the run
+  // is the enumerating search.
+  LftjRun(const BoundQuery& q, const ExecOptions& opts, bool split_counts,
           const std::vector<const TrieIndex*>* prebuilt, ExecResult* result)
       : q_(q),
         opts_(opts),
@@ -176,55 +180,153 @@ class LftjRun {
       }
     }
     t_.assign(q.num_vars, 0);
-    caches_.resize(q.num_vars);
-    clears_.resize(q.num_vars);
-    if (!opts.collect_tuples) PlanSuffixCaches();
+    if (q.num_vars == 0) return;
+    if (split_counts && !opts.collect_tuples) {
+      PlanCounts();
+    } else {
+      plan_.resize(q.num_vars);
+      for (int v = 0; v < q.num_vars; ++v) {
+        plan_[v].var = v;
+        plan_[v].next = v + 1 < q.num_vars ? v + 1 : kDone;
+      }
+    }
   }
 
   void Run() {
     if (!result_->status.ok()) return;  // refused in the constructor
     if (q_.num_vars == 0 || unsatisfiable_) return;
-    result_->count = Search(0);
+    const uint64_t count = Search(0);
+    if (overflow_) {
+      Overflowed();
+    } else {
+      result_->count = count;
+    }
     // Collect seek stats.
     for (const auto& it : iters_) result_->stats.seeks += it->seeks();
   }
 
  private:
-  // The adhesion of depth k is every earlier variable sharing an atom or
-  // a filter with some variable >= k: the completions below k depend on
-  // those values alone. A depth whose adhesion is a strict subset of its
-  // prefix gets a cache keyed on it. The cache is emptied whenever the
-  // search re-enters depth m, the first variable outside the adhesion:
-  // variables [0, m) are all in the key, so once one of them is rebound
-  // the old entries can never match again. With m == 0 the cache lives
-  // for the whole run.
-  void PlanSuffixCaches() {
+  static constexpr int kDone = -1;  // every variable is bound
+
+  // One search point: the variables still unbound there. A connected
+  // point binds its first GAO variable `var` and goes on at `next`; a
+  // point whose variables fall apart multiplies the counts of its
+  // `parts`, one point per component.
+  struct PlanNode {
+    int var = -1;  // -1 for a product
+    int next = kDone;
+    std::vector<int> parts;
+    // The count cache keyed on the point's adhesion (null where the
+    // adhesion is every bound variable), and the points whose caches are
+    // emptied on entering this one.
+    std::unique_ptr<SuffixCountCache> cache;
+    std::vector<int> clears;
+  };
+
+  // Count mode: at each search point, the unbound variables are joined
+  // when they share an atom or a filter. Independent components are
+  // counted apart and multiplied; a connected point binds its first GAO
+  // variable. The adhesion of a point is every bound variable sharing an
+  // atom or a filter with its variables: its count depends on their
+  // values alone, so a point whose adhesion is a strict subset of the
+  // bound variables gets a cache keyed on it. The cache is emptied
+  // whenever the search re-enters the point binding m, the first bound
+  // variable outside the adhesion: the variables bound before m are all
+  // in the key, so once one of them is rebound the old entries can never
+  // match again. With m the first variable bound, the cache lives for
+  // the whole run. Where every suffix stays connected, this is one
+  // point per GAO depth, each keyed on that depth's adhesion.
+  void PlanCounts() {
     const int n = q_.num_vars;
-    std::vector<std::vector<bool>> shares(n, std::vector<bool>(n, false));
+    shares_.assign(n, std::vector<bool>(n, false));
     for (const auto& atom : q_.atoms) {
       for (int u : atom.vars) {
-        for (int v : atom.vars) shares[u][v] = true;
+        for (int v : atom.vars) shares_[u][v] = true;
       }
     }
     for (const auto& [lo, hi] : q_.less_than) {
-      shares[lo][hi] = shares[hi][lo] = true;
+      shares_[lo][hi] = shares_[hi][lo] = true;
     }
-    for (int k = 1; k < n; ++k) {
-      std::vector<int> adhesion;
-      int first_outside = -1;
-      for (int v = 0; v < k; ++v) {
-        const bool in = std::any_of(shares[v].begin() + k, shares[v].end(),
-                                    [](bool s) { return s; });
-        if (in) {
-          adhesion.push_back(v);
-        } else if (first_outside < 0) {
-          first_outside = v;
+    std::vector<int> all(n);
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<int> bound, binders;
+    Plan(all, &bound, &binders);
+  }
+
+  // Plans the points counting `vars` (ascending, unbound) below the
+  // `bound` variables (ascending), bound at the points `binders`;
+  // returns the first point's id.
+  int Plan(const std::vector<int>& vars, std::vector<int>* bound,
+           std::vector<int>* binders) {
+    if (vars.empty()) return kDone;
+    const int id = static_cast<int>(plan_.size());
+    plan_.emplace_back();
+    std::vector<std::vector<int>> parts = Components(vars);
+    if (parts.size() > 1) {
+      // Fewest variables first: a small component is cheap to count,
+      // and a zero there spares counting the others.
+      std::stable_sort(parts.begin(), parts.end(),
+                       [](const auto& x, const auto& y) {
+                         return x.size() < y.size();
+                       });
+      for (const auto& part : parts) {
+        const int child = Plan(part, bound, binders);
+        plan_[id].parts.push_back(child);
+      }
+      return id;
+    }
+    const int v = vars.front();
+    plan_[id].var = v;
+    std::vector<int> adhesion;
+    int first_outside = -1;
+    for (size_t i = 0; i < bound->size(); ++i) {
+      const int u = (*bound)[i];
+      const bool in = std::any_of(vars.begin(), vars.end(),
+                                  [&](int w) { return shares_[u][w]; });
+      if (in) {
+        adhesion.push_back(u);
+      } else if (first_outside < 0) {
+        first_outside = static_cast<int>(i);
+      }
+    }
+    if (first_outside >= 0) {
+      plan_[id].cache = std::make_unique<SuffixCountCache>(std::move(adhesion));
+      plan_[(*binders)[first_outside]].clears.push_back(id);
+    }
+    bound->push_back(v);
+    binders->push_back(id);
+    const int next =
+        Plan(std::vector<int>(vars.begin() + 1, vars.end()), bound, binders);
+    plan_[id].next = next;
+    bound->pop_back();
+    binders->pop_back();
+    return id;
+  }
+
+  // The connected components of `vars` (ascending) under shares_, each
+  // ascending, ordered by first variable.
+  std::vector<std::vector<int>> Components(const std::vector<int>& vars) {
+    std::vector<int> comp(vars.size(), -1);
+    int num = 0;
+    for (size_t s = 0; s < vars.size(); ++s) {
+      if (comp[s] >= 0) continue;
+      comp[s] = num;
+      std::vector<size_t> stack = {s};
+      while (!stack.empty()) {
+        const size_t i = stack.back();
+        stack.pop_back();
+        for (size_t j = 0; j < vars.size(); ++j) {
+          if (comp[j] < 0 && shares_[vars[i]][vars[j]]) {
+            comp[j] = num;
+            stack.push_back(j);
+          }
         }
       }
-      if (first_outside < 0) continue;  // adhesion is the whole prefix
-      caches_[k] = std::make_unique<SuffixCountCache>(std::move(adhesion));
-      clears_[first_outside].push_back(k);
+      ++num;
     }
+    std::vector<std::vector<int>> parts(num);
+    for (size_t i = 0; i < vars.size(); ++i) parts[comp[i]].push_back(vars[i]);
+    return parts;
   }
 
   bool Expired() {
@@ -260,18 +362,22 @@ class LftjRun {
     cache.Insert(count);
   }
 
-  // Number of completions of t_[0, depth). A run that winds down
-  // returns a partial count, which is never cached; an overflow stops
-  // the sum before it wraps.
-  uint64_t Search(int depth) {
-    if (depth == q_.num_vars) {
+  // Number of completions of the bound variables at point `node`. A run
+  // that winds down returns a partial count, which is never cached or
+  // multiplied; a count past 2^64 - 1 sets overflow_ and is never
+  // cached either.
+  uint64_t Search(int node) {
+    if (node == kDone) {
       if (opts_.collect_tuples) result_->tuples.push_back(t_);
       return 1;
     }
-    SuffixCountCache* cache = caches_[depth].get();
+    const PlanNode& p = plan_[node];
+    if (p.var < 0) return Multiply(p);
+    SuffixCountCache* cache = p.cache.get();
     uint64_t total = 0;
     if (cache != nullptr && cache->Find(t_, &total)) return total;
-    for (int k : clears_[depth]) caches_[k]->Clear();
+    for (int k : p.clears) plan_[k].cache->Clear();
+    const int depth = p.var;
     auto& iters = depth_iters_[depth];
     for (auto* it : iters) it->Open();
     LeapfrogJoin& join = joins_[depth];
@@ -296,18 +402,40 @@ class LftjRun {
       const Value v = join.Key();
       if (v > max_allowed) break;
       t_[depth] = v;
-      uint64_t sum = 0;
-      if (__builtin_add_overflow(total, Search(depth + 1), &sum)) {
-        Overflowed();
+      const uint64_t n = Search(p.next);
+      if (overflow_ || __builtin_add_overflow(total, n, &total)) {
+        overflow_ = true;
         break;
       }
-      total = sum;
       if (!result_->status.ok()) break;
       join.Next();
     }
     for (auto* it : iters) it->Up();
-    if (cache != nullptr && result_->status.ok()) Remember(*cache, total);
+    if (cache != nullptr && result_->status.ok() && !overflow_) {
+      Remember(*cache, total);
+    }
     return total;
+  }
+
+  // The product of independent components' counts. A zero factor makes
+  // it exactly 0 whatever the others are, so a factor or product past
+  // 2^64 - 1 only overflows once every factor is known nonzero.
+  uint64_t Multiply(const PlanNode& p) {
+    uint64_t product = 1;
+    bool past_max = false;
+    for (int part : p.parts) {
+      const uint64_t n = Search(part);
+      if (!result_->status.ok()) return 0;
+      if (overflow_) {
+        overflow_ = false;
+        past_max = true;
+        continue;
+      }
+      if (n == 0) return 0;
+      past_max = __builtin_mul_overflow(product, n, &product) || past_max;
+    }
+    overflow_ = past_max;
+    return product;
   }
 
   const BoundQuery& q_;
@@ -321,15 +449,16 @@ class LftjRun {
   std::vector<std::vector<int>> lower_bounds_;
   std::vector<std::vector<int>> upper_bounds_;
   bool unsatisfiable_ = false;
-  // Per depth: its suffix cache (null where the adhesion is the whole
-  // prefix, and everywhere outside count mode) and the caches emptied on
-  // entering it.
-  std::vector<std::unique_ptr<SuffixCountCache>> caches_;
-  std::vector<std::vector<int>> clears_;
+  // shares_[u][v]: u and v share an atom or a filter (count plan only).
+  std::vector<std::vector<bool>> shares_;
+  // The search points, the first one at index 0. Outside split count
+  // mode, one uncached point per GAO depth.
+  std::vector<PlanNode> plan_;
   ScopedCharge cache_charge_;  // all tables' bytes, against opts.budget
   uint64_t cache_bytes_ = 0;
   Tuple t_;
   uint64_t steps_ = 0;
+  bool overflow_ = false;  // the last Search's count is past 2^64 - 1
 };
 
 }  // namespace
@@ -337,7 +466,7 @@ class LftjRun {
 ExecResult LftjEngine::Execute(const BoundQuery& q,
                                const ExecOptions& opts) const {
   ExecResult result;
-  LftjRun run(q, opts, /*prebuilt=*/nullptr, &result);
+  LftjRun run(q, opts, split_counts_, /*prebuilt=*/nullptr, &result);
   run.Run();
   FinalizeExecStatus(&result, opts);
   return result;
@@ -347,7 +476,7 @@ ExecResult LftjEngine::ExecuteWithIndexes(
     const BoundQuery& q, const ExecOptions& opts,
     const std::vector<const TrieIndex*>& indexes) const {
   ExecResult result;
-  LftjRun run(q, opts, &indexes, &result);
+  LftjRun run(q, opts, split_counts_, &indexes, &result);
   run.Run();
   FinalizeExecStatus(&result, opts);
   return result;

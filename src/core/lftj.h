@@ -12,21 +12,33 @@
 // directly past (or stopped at) the earlier variable's value, which is
 // what makes the `a<b<c` clique encodings effective.
 //
-// Count mode (`collect_tuples == false`) caches suffix counts (Kalinsky,
-// Etsion, Kimelfeld, "Flexible Caching in Trie Joins", EDBT 2017). The
-// adhesion of depth k is every earlier variable that shares an atom or a
-// filter with some variable >= k; the number of completions below k
-// depends on the adhesion's values alone. Each depth whose adhesion is a
-// strict subset of its prefix keeps a flat open-addressed table from
+// Count mode (`collect_tuples == false`) counts without enumerating
+// where the query's shape allows. At each search point the unbound
+// variables are joined when they share an atom or a filter; when they
+// fall into several components, the point's count is the product of the
+// components' counts (the d-tree factorisation of Olteanu and Závodný,
+// "Size Bounds for Factorised Representations of Query Results", TODS
+// 2015), each component counted by the leapfrog search over its own
+// variables in GAO order. In 2-comb, c and d are independent once a and
+// b are bound, so the count per a is cnt_c(a) * sum over b of cnt_d(b).
+//
+// Each count is cached on its adhesion (Kalinsky, Etsion, Kimelfeld,
+// "Flexible Caching in Trie Joins", EDBT 2017): every bound variable
+// that shares an atom or a filter with the point's variables, whose
+// values alone decide the count. A point whose adhesion is a strict
+// subset of the bound variables keeps a flat open-addressed table from
 // those values to that count, so a repeated suffix is solved once (in
 // 3-path, |N(c) ∩ v2| once per c instead of once per (a,b) reaching c).
-// A depth's table is emptied when the search re-enters the first GAO
-// variable outside its adhesion, i.e. once no entry can match again; the
-// tables' bytes are charged to `ExecOptions::budget`. A subtree cut short
-// by stop, deadline or budget is never stored, and a count past 2^64 - 1
-// fails the run with kResourceExhausted instead of wrapping. Cliques
-// (every adhesion is the whole prefix) and `collect_tuples` runs
-// enumerate exactly as the paper's LFTJ does.
+// A table is emptied when the search re-enters the first bound variable
+// outside its adhesion, i.e. once no entry can match again; the tables'
+// bytes are charged to `ExecOptions::budget`. A count cut short by stop,
+// deadline or budget is never stored or multiplied, and a count past
+// 2^64 - 1 fails the run with kResourceExhausted instead of wrapping,
+// unless another factor of its product is 0. `var0_min`/`var0_max`
+// restrict only the component holding variable 0. Cliques (every
+// adhesion is the whole prefix) and `collect_tuples` runs enumerate
+// exactly as the paper's LFTJ does; so does every run of the
+// `lftj-nocache` ablation, which neither caches nor splits.
 
 #include <vector>
 
@@ -37,7 +49,14 @@ namespace wcoj {
 
 class LftjEngine : public Engine {
  public:
-  std::string name() const override { return "lftj"; }
+  // `split_counts` false is the `lftj-nocache` ablation: count mode runs
+  // the enumerating search.
+  explicit LftjEngine(bool split_counts = true)
+      : split_counts_(split_counts) {}
+
+  std::string name() const override {
+    return split_counts_ ? "lftj" : "lftj-nocache";
+  }
   ExecResult Execute(const BoundQuery& q,
                      const ExecOptions& opts) const override;
 
@@ -49,6 +68,9 @@ class LftjEngine : public Engine {
   ExecResult ExecuteWithIndexes(const BoundQuery& q, const ExecOptions& opts,
                                 const std::vector<const TrieIndex*>& indexes)
       const;
+
+ private:
+  bool split_counts_;
 };
 
 }  // namespace wcoj

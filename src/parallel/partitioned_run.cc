@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -15,27 +14,6 @@
 namespace wcoj {
 
 namespace {
-
-// Key of a distinct warm-up build job. Hashed: the old first-occurrence
-// linear scan compared full permutation vectors pairwise, O(atoms^2)
-// vector compares per query.
-struct WarmKey {
-  const Relation* relation;
-  std::vector<int> perm;
-  bool operator==(const WarmKey& o) const {
-    return relation == o.relation && perm == o.perm;
-  }
-};
-
-struct HashWarmKey {
-  size_t operator()(const WarmKey& k) const {
-    size_t h = std::hash<const void*>()(k.relation);
-    for (int c : k.perm) {
-      h = h * 1000003u + static_cast<size_t>(c) + 0x9e3779b9u;
-    }
-    return h;
-  }
-};
 
 // Quantile boundaries over a sorted (duplicates kept) value sequence:
 // at most parts-1 strictly increasing values cutting the sequence into
@@ -89,58 +67,18 @@ void MergeMorselStatus(Status* agg, const Status& s) {
 }  // namespace
 
 EngineStats WarmQueryIndexesParallel(const BoundQuery& q, int num_threads,
-                                     MemoryBudget* budget, Status* status) {
-  EngineStats stats;
-  if (q.catalog == nullptr) return stats;
-  // Distinct (relation, permutation) keys; the map owns each key once,
-  // `keys` preserves node-stable pointers for the build jobs.
-  std::unordered_map<WarmKey, size_t, HashWarmKey> key_ids;
-  std::vector<const WarmKey*> keys;
-  std::vector<size_t> atom_key(q.atoms.size());
-  for (size_t a = 0; a < q.atoms.size(); ++a) {
-    WarmKey key{q.atoms[a].relation, GaoConsistentPerm(q.atoms[a].vars)};
-    auto [it, inserted] = key_ids.emplace(std::move(key), keys.size());
-    if (inserted) keys.push_back(&it->first);
-    atom_key[a] = it->second;
-  }
-  // One build job per distinct key; the catalog serializes same-key
-  // racers internally, so distinct keys are the real parallelism. One
-  // key gets a one-thread pool, which builds inline.
-  std::vector<char> built(keys.size(), 0);
-  std::vector<Status> build_status(keys.size());
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(keys.size());
-  for (size_t k = 0; k < keys.size(); ++k) {
-    jobs.push_back([&, k]() {
-      bool b = false;
-      const TrieIndex* index = q.catalog->GetOrBuild(
-          *keys[k]->relation, keys[k]->perm, &b, budget, &build_status[k]);
-      if (index == nullptr && build_status[k].ok()) {
-        build_status[k] = Status(StatusCode::kInternal, "index build failed");
-      }
-      built[k] = b ? 1 : 0;
-    });
-  }
-  WorkerPool(std::min(num_threads, static_cast<int>(keys.size()))).Run(jobs);
-  if (status != nullptr) {
-    for (const Status& st : build_status) status->Update(st);
-  }
-  // Per-atom accounting, matching the serial WarmQueryIndexes: the
-  // first atom of each key records its build (or resident hit), every
-  // repeat atom a hit. A key whose build failed books neither, as
-  // GetOrBuildCounted does.
-  std::vector<char> seen(keys.size(), 0);
-  for (size_t a = 0; a < q.atoms.size(); ++a) {
-    const size_t k = atom_key[a];
-    if (!build_status[k].ok()) continue;
-    if (!seen[k] && built[k]) {
-      ++stats.index_builds;
-    } else {
-      ++stats.index_cache_hits;
-    }
-    seen[k] = 1;
-  }
-  return stats;
+                                     MemoryBudget* budget, Status* status,
+                                     WorkerPool* pool) {
+  return WarmQueryIndexesWith(
+      q, budget, status, [&](const std::vector<std::function<void()>>& jobs) {
+        if (pool != nullptr) {
+          pool->Run(jobs);
+        } else {
+          // One key gets a one-thread pool, which builds inline.
+          WorkerPool(std::min(num_threads, static_cast<int>(jobs.size())))
+              .Run(jobs);
+        }
+      });
 }
 
 ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
@@ -190,10 +128,12 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
     // then executes over the same resident indexes, so the whole run
     // performs one build per distinct (relation, permutation) pair no
     // matter how many morsels there are. Distinct indexes build
-    // concurrently on a worker pool instead of serially.
+    // concurrently, on the caller's pool when given (idle until the
+    // morsel batch, so the warm pass spawns no threads), else on a
+    // per-call pool.
     Status warm_status;
-    total.stats.Add(
-        WarmQueryIndexesParallel(q, threads, opts.budget, &warm_status));
+    total.stats.Add(WarmQueryIndexesParallel(q, threads, opts.budget,
+                                             &warm_status, worker_pool));
     if (!warm_status.ok()) {
       // A refused/faulted shared build would fail every morsel the same
       // way; fail the run closed before spawning any.

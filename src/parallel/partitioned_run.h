@@ -55,17 +55,15 @@ ExecResult PartitionedExecute(const Engine& engine, const BoundQuery& q,
 
 // Parallel flavor of WarmQueryIndexes (core/atom_index.h): builds the
 // GAO-consistent index of every atom of `q` in its catalog, one job per
-// *distinct* (relation, permutation) pair on a WorkerPool of
-// min(num_threads, distinct pairs) threads, so a cold partitioned run
+// *distinct* (relation, permutation) pair, so a cold partitioned run
 // constructs independent indexes concurrently instead of serially.
-// Per-atom build/hit accounting is identical to the serial warm pass: a
-// failed build books neither.
-// No-op without a catalog. Builds are governed by `budget` when given;
-// the first build failure (budget refusal / injected fault) is folded
-// into *status.
+// Accounting and status are the serial pass's. The jobs run on `pool`
+// when given (its threads are reused, none spawned), else on a per-call
+// WorkerPool of min(num_threads, distinct pairs) threads.
 EngineStats WarmQueryIndexesParallel(const BoundQuery& q, int num_threads,
                                      MemoryBudget* budget = nullptr,
-                                     Status* status = nullptr);
+                                     Status* status = nullptr,
+                                     WorkerPool* pool = nullptr);
 
 }  // namespace wcoj
 

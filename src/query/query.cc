@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <set>
 
 #include "storage/catalog.h"
 
@@ -56,6 +57,47 @@ std::string BoundQuery::DebugString() const {
   return out;
 }
 
+Status ValidateQuery(const Query& query,
+                     const std::map<std::string, const Relation*>& relations) {
+  auto invalid = [](const std::string& why) {
+    return Status(StatusCode::kInvalidArgument, why);
+  };
+  std::set<std::string> atom_vars;
+  for (const Atom& atom : query.atoms) {
+    const auto it = relations.find(atom.relation);
+    if (it == relations.end()) {
+      std::string known;
+      for (const auto& [name, rel] : relations) {
+        known += " " + name + "/" + std::to_string(rel->arity());
+      }
+      return invalid("unknown relation '" + atom.relation + "'; known:" +
+                     known);
+    }
+    if (static_cast<int>(atom.vars.size()) != it->second->arity()) {
+      return invalid("relation '" + atom.relation + "' has arity " +
+                     std::to_string(it->second->arity()) + ", got " +
+                     std::to_string(atom.vars.size()) + " variables");
+    }
+    for (size_t i = 0; i < atom.vars.size(); ++i) {
+      if (std::find(atom.vars.begin() + i + 1, atom.vars.end(),
+                    atom.vars[i]) != atom.vars.end()) {
+        return invalid("variable '" + atom.vars[i] + "' repeats in atom " +
+                       atom.relation + "; repeated variables are "
+                       "unsupported");
+      }
+    }
+    atom_vars.insert(atom.vars.begin(), atom.vars.end());
+  }
+  for (const Filter& f : query.filters) {
+    for (const std::string& v : {f.lo, f.hi}) {
+      if (atom_vars.count(v) == 0) {
+        return invalid("filter variable '" + v + "' is not bound by any atom");
+      }
+    }
+  }
+  return OkStatus();
+}
+
 BoundQuery Bind(const Query& query,
                 const std::map<std::string, const Relation*>& relations,
                 const std::vector<std::string>& gao) {
@@ -80,7 +122,12 @@ BoundQuery Bind(const Query& query,
     BoundAtom ba;
     ba.relation = it->second;
     assert(it->second->arity() == static_cast<int>(atom.vars.size()));
-    for (const auto& v : atom.vars) ba.vars.push_back(pos.at(v));
+    for (const auto& v : atom.vars) {
+      assert(std::find(ba.vars.begin(), ba.vars.end(), pos.at(v)) ==
+                 ba.vars.end() &&
+             "atom repeats a variable");
+      ba.vars.push_back(pos.at(v));
+    }
     bq.atoms.push_back(std::move(ba));
   }
   for (const auto& f : query.filters) {

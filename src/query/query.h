@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "storage/relation.h"
+#include "util/status.h"
 
 namespace wcoj {
 
@@ -69,10 +70,19 @@ struct BoundQuery {
   std::string DebugString() const;
 };
 
+// Vets a query from an untrusted boundary (the CLI, the wire) before
+// Bind: every atom names a relation in `relations` with its arity and
+// repeats no variable, and every filter variable is bound by an atom.
+// Any violation is kInvalidArgument naming the first offender. No
+// engine enforces the equality a repeated variable (`edge(a,a)`) asks
+// for, so such atoms are rejected rather than answered wrongly.
+Status ValidateQuery(const Query& query,
+                     const std::map<std::string, const Relation*>& relations);
+
 // Binds `query` against `relations` using `gao` (a permutation of the
 // query's variables; every query variable must appear exactly once).
-// Dies (assert) on unknown relation names or malformed GAOs: callers are
-// in-process test/bench code, not an untrusted boundary.
+// Dies (assert) on what ValidateQuery rejects and on malformed GAOs:
+// callers are in-process test/bench code or have validated the query.
 BoundQuery Bind(const Query& query,
                 const std::map<std::string, const Relation*>& relations,
                 const std::vector<std::string>& gao);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -132,6 +133,56 @@ TEST(EngineTest, CrossProductCountIsExact) {
   EXPECT_EQ(r.count, e * e * e);
 }
 
+// A zero factor answers exactly 0 even where the other factors'
+// product is past 2^64 - 1: four independent edges (|edge|^4 > 2^64)
+// times an empty relation, counted first (the unary component is the
+// smallest) and last (a binary one, bound last in the GAO).
+TEST(EngineTest, ZeroFactorBeatsAnOverflowingProduct) {
+  Graph g = ErdosRenyi(20000, 40000, 5);
+  GraphRelations rels = MakeGraphRelations(g);
+  ASSERT_GT(rels.edge.size(), 65536u);  // so |edge|^4 > 2^64
+  Relation none1(1), none2(2);
+  none1.Build();
+  none2.Build();
+  auto relations = rels.Map();
+  relations["none1"] = &none1;
+  relations["none2"] = &none2;
+  const std::vector<std::string> edge_vars = {"a", "b", "c", "d",
+                                              "e", "f", "g", "h"};
+  auto lftj = CreateEngine("lftj");
+  for (const char* text :
+       {"edge(a,b), edge(c,d), edge(e,f), edge(g,h), none1(x)",
+        "edge(a,b), edge(c,d), edge(e,f), edge(g,h), none2(x,y)"}) {
+    const Query q = MustParseQuery(text);
+    const BoundQuery last = Bind(q, relations, q.Variables());
+    const ExecResult count = lftj->Execute(last, ExecOptions{});
+    ASSERT_TRUE(count.ok()) << text << " " << count.status.ToString();
+    EXPECT_EQ(count.count, 0u) << text;
+    for (int threads = 1; threads <= 4; ++threads) {
+      const ExecResult r = PartitionedExecute(*lftj, last, ExecOptions{},
+                                              threads, /*granularity=*/4);
+      ASSERT_TRUE(r.ok()) << text << " " << r.status.ToString();
+      EXPECT_EQ(r.count, 0u) << threads << " threads on " << text;
+    }
+    // Enumeration only finishes with the empty relation bound first.
+    std::vector<std::string> gao = q.Variables();
+    std::rotate(gao.begin(), gao.begin() + edge_vars.size(), gao.end());
+    ExecOptions collect;
+    collect.collect_tuples = true;
+    const ExecResult tuples =
+        lftj->Execute(Bind(q, relations, gao), collect);
+    ASSERT_TRUE(tuples.ok()) << text;
+    EXPECT_TRUE(tuples.tuples.empty()) << text;
+  }
+  // Without the empty factor the same product fails closed.
+  const Query four =
+      MustParseQuery("edge(a,b), edge(c,d), edge(e,f), edge(g,h)");
+  const ExecResult past = lftj->Execute(
+      Bind(four, relations, edge_vars), ExecOptions{});
+  EXPECT_EQ(past.status.code(), StatusCode::kResourceExhausted)
+      << past.status.ToString();
+}
+
 TEST(EngineTest, DeadlineProducesTimeout) {
   Graph g = ErdosRenyi(400, 4000, 3);
   GraphRelations rels = MakeGraphRelations(g);
@@ -233,6 +284,27 @@ const OracleCase kOracleCases[] = {
      8,
      10,
      false},
+    // 2-comb and 1-tree with the independent components bound in the
+    // other GAO order: after a, {c} and {b,d} are counted apart.
+    {"v1(c), v2(d), edge(a,b), edge(a,c), edge(b,d)",
+     {"a", "c", "b", "d"},
+     12,
+     26,
+     false},
+    {"v1(b), v2(c), edge(a,b), edge(a,c)", {"a", "c", "b"}, 14, 30, false},
+    // 2-comb whose c<d filter joins the components: no split below a.
+    {"v1(c), v2(d), edge(a,b), edge(a,c), edge(b,d), c<d",
+     {"a", "b", "c", "d"},
+     12,
+     26,
+     false},
+    // Components that split below the first level and again deeper:
+    // after a, {b} and {c,d,e}; after c, {d} and {e}.
+    {"edge(a,b), edge(a,c), edge(c,d), edge(c,e), v1(d), v2(e)",
+     {"a", "b", "c", "d", "e"},
+     10,
+     20,
+     false},
 };
 
 class EngineOracleTest
@@ -250,8 +322,9 @@ TEST_P(EngineOracleTest, AllEnginesMatchBruteForce) {
 
   const uint64_t expected = BruteForceCount(bq);
   for (const char* name :
-       {"lftj", "ms", "#ms", "ms-noidea4", "ms-noidea6", "ms-noidea46",
-        "ms-noidea7", "hybrid", "psql", "monetdb", "yannakakis"}) {
+       {"lftj", "lftj-nocache", "ms", "#ms", "ms-noidea4", "ms-noidea6",
+        "ms-noidea46", "ms-noidea7", "hybrid", "psql", "monetdb",
+        "yannakakis"}) {
     auto engine = CreateEngine(name);
     ASSERT_NE(engine, nullptr) << name;
     ExecResult r = engine->Execute(bq, ExecOptions{});
@@ -264,9 +337,9 @@ TEST_P(EngineOracleTest, AllEnginesMatchBruteForce) {
     ASSERT_TRUE(r.ok()) << r.status.ToString();
     EXPECT_EQ(r.count, expected) << "clique on " << c.query;
   }
-  // Count-mode LFTJ answers from its per-depth suffix caches; the
-  // enumerating (collect_tuples) run and every var0 morsel split must
-  // land on the same number.
+  // Count-mode LFTJ multiplies independent components and answers from
+  // its suffix caches; the enumerating (collect_tuples) run and every
+  // var0 morsel split must land on the same number.
   auto lftj = CreateEngine("lftj");
   ExecOptions collect;
   collect.collect_tuples = true;

@@ -245,6 +245,21 @@ TEST(PartitionedRunTest, ParallelPrewarmBuildsOncePerDistinctIndex) {
     EXPECT_EQ(warm.index_cache_hits, 5u) << "threads=" << threads;
     EXPECT_EQ(catalog.builds(), 3u) << "threads=" << threads;
   }
+  // A caller's pool, reused across passes, books exactly the same.
+  WorkerPool pool(4);
+  for (int pass = 0; pass < 2; ++pass) {
+    IndexCatalog catalog;
+    bq.catalog = &catalog;
+    const EngineStats cold =
+        WarmQueryIndexesParallel(bq, 4, nullptr, nullptr, &pool);
+    EXPECT_EQ(cold.index_builds, 3u) << "pass=" << pass;
+    EXPECT_EQ(cold.index_cache_hits, 2u) << "pass=" << pass;
+    const EngineStats warm =
+        WarmQueryIndexesParallel(bq, 4, nullptr, nullptr, &pool);
+    EXPECT_EQ(warm.index_builds, 0u) << "pass=" << pass;
+    EXPECT_EQ(warm.index_cache_hits, 5u) << "pass=" << pass;
+    EXPECT_EQ(catalog.builds(), 3u) << "pass=" << pass;
+  }
   // Without a catalog the pre-warm is a no-op.
   bq.catalog = nullptr;
   const EngineStats none = WarmQueryIndexesParallel(bq, 4);
@@ -290,6 +305,68 @@ TEST(PartitionedRunTest, ParallelPrewarmCountsNoFailedBuild) {
     EXPECT_EQ(serial.index_builds, 0u) << text;
     EXPECT_EQ(serial.index_cache_hits, 0u) << text;
     EXPECT_EQ(serial_catalog.size(), 0u) << text;
+  }
+}
+
+// One faulted build: every warm pass folds its cause into the status,
+// books neither a build nor a hit for the key, and does not retry it at
+// the key's later atoms. On one thread the k-th build faults v1 (k = 1),
+// v2 (k = 2) or the edge key that three atoms share (k = 3); with v1 and
+// v2 already resident, the only build is edge's on any pool.
+TEST(PartitionedRunTest, WarmPassesAgreeOnOneFaultedBuild) {
+  Graph g = Rmat(7, 420, 0.57, 0.19, 0.19, 31);
+  GraphRelations rels = MakeGraphRelations(g);
+  rels.v1 = SampleNodes(g, 3.0, 4);
+  rels.v2 = SampleNodes(g, 3.0, 5);
+  BoundQuery bq =
+      Bind(MustParseQuery("v1(a), v2(d), edge(a,b), edge(b,c), edge(c,d)"),
+           rels.Map(), {"a", "b", "c", "d"});
+  BoundQuery samples =
+      Bind(MustParseQuery("v1(a), v2(d)"), rels.Map(), {"a", "d"});
+  WorkerPool pool1(1), pool4(4);
+  struct Pass {
+    const char* name;
+    int threads;  // 0: the serial pass
+    WorkerPool* pool;
+  };
+  const Pass passes[] = {{"serial", 0, nullptr},     {"parallel1", 1, nullptr},
+                         {"pool1", 1, &pool1},       {"parallel4", 4, nullptr},
+                         {"pool4", 4, &pool4}};
+  auto run = [&](const Pass& pass, uint64_t k, bool samples_resident,
+                 Status* status) {
+    IndexCatalog catalog;
+    bq.catalog = samples.catalog = &catalog;
+    if (samples_resident) WarmQueryIndexes(samples);
+    FailPoints::Arm("trie.build", k);
+    const EngineStats stats =
+        pass.threads == 0
+            ? WarmQueryIndexes(bq, nullptr, status)
+            : WarmQueryIndexesParallel(bq, pass.threads, nullptr, status,
+                                       pass.pool);
+    FailPoints::DisarmAll();
+    EXPECT_EQ(catalog.size(), 2u) << pass.name << " k=" << k;
+    return stats;
+  };
+  const std::pair<uint64_t, uint64_t> cold[] = {{2, 2}, {2, 2}, {2, 0}};
+  for (uint64_t k = 1; k <= 3; ++k) {
+    for (const Pass& pass : passes) {
+      if (pass.threads > 1) continue;  // which build is k-th would race
+      Status status;
+      const EngineStats stats = run(pass, k, false, &status);
+      EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+          << pass.name << " k=" << k;
+      EXPECT_EQ(stats.index_builds, cold[k - 1].first)
+          << pass.name << " k=" << k;
+      EXPECT_EQ(stats.index_cache_hits, cold[k - 1].second)
+          << pass.name << " k=" << k;
+    }
+  }
+  for (const Pass& pass : passes) {
+    Status status;
+    const EngineStats stats = run(pass, 1, true, &status);
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted) << pass.name;
+    EXPECT_EQ(stats.index_builds, 0u) << pass.name;
+    EXPECT_EQ(stats.index_cache_hits, 2u) << pass.name;
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "core/engine.h"
 #include "util/rng.h"
@@ -62,6 +64,30 @@ TEST(BindTest, MapsVariablesToGaoPositions) {
   EXPECT_EQ(bq.atoms[1].vars, (std::vector<int>{1, 0}));  // edge(a,b)
   ASSERT_EQ(bq.less_than.size(), 1u);
   EXPECT_EQ(bq.less_than[0], (std::pair<int, int>{1, 0}));
+}
+
+// The one boundary check the CLI and the daemon share: whatever Bind
+// would assert on is an INVALID_ARGUMENT naming the offender instead.
+TEST(ValidateQueryTest, RefusesWhatBindWouldAssertOn) {
+  Relation edge = Relation::FromTuples(2, {{0, 1}});
+  Relation v1 = Relation::FromTuples(1, {{0}});
+  const std::map<std::string, const Relation*> rels = {{"edge", &edge},
+                                                       {"v1", &v1}};
+  EXPECT_TRUE(ValidateQuery(MustParseQuery("v1(b), edge(a,b), a<b"), rels)
+                  .ok());
+  const std::pair<const char*, const char*> bad[] = {
+      {"nosuch(a,b)", "nosuch"},
+      {"edge(a,b,c)", "arity"},
+      {"edge(a,b), a<z", "'z'"},
+      {"edge(a,a), edge(a,b)", "repeats"},
+      {"edge(a,b), v1(c), edge(c,c)", "'c'"},
+  };
+  for (const auto& [text, needle] : bad) {
+    const Status st = ValidateQuery(MustParseQuery(text), rels);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(st.message().find(needle), std::string::npos)
+        << text << ": " << st.message();
+  }
 }
 
 // --- Acyclicity ------------------------------------------------------------

@@ -566,6 +566,23 @@ TEST_F(ServerTest, InvalidQueriesGetStructuredErrorsOnALiveConnection) {
   EXPECT_EQ(server->stats().invalid, 5u);
 }
 
+// An atom that repeats a variable asks for an equality no engine
+// enforces; it used to crash Minesweeper and with it the daemon. It is
+// refused at the boundary, and the daemon keeps serving.
+TEST_F(ServerTest, RepeatedVariableIsRefusedAndTheDaemonSurvives) {
+  auto server = StartServer(SmallConfig());
+  TestConn conn;
+  ASSERT_TRUE(conn.Connect(server->port()));
+  ServerReply r;
+  ASSERT_TRUE(conn.RoundTrip(QueryLine("edge(a,a), edge(a,b)", "ms"), &r));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.code, "INVALID_ARGUMENT") << r.message;
+  ASSERT_TRUE(conn.RoundTrip(QueryLine(kCheapQuery, "ms"), &r));
+  EXPECT_TRUE(r.ok) << r.message;
+  EXPECT_EQ(r.count, cheap_count_);
+  EXPECT_EQ(server->stats().invalid, 1u);
+}
+
 TEST_F(ServerTest, DeadlineExpiryIsAStructuredReplyAndConnectionSurvives) {
   auto server = StartServer(SmallConfig());
   TestConn conn;
